@@ -99,75 +99,6 @@ def test_metrics_overhead_within_bounds(perf_payload):
         assert metrics["throughput_ratio"] >= 0.95, metrics
 
 
-def test_wire_codec_size_and_throughput(perf_payload):
-    """The binary v2 codec must beat JSON v1 decisively on wire size.
-
-    Size is machine-independent: the sample traffic shrinks by at least 2x
-    (measured ~3x).  Encode/decode throughputs are machine-dependent and
-    only floor-checked loosely; ``json`` decode rides the C-accelerated
-    ``json.loads``, so the binary decoder (pure Python) is not required to
-    beat it — the wire wins come from the 3x fewer bytes and the batch
-    frames (one syscall per batch).  REPRO_PERF_STRICT=1 additionally
-    requires binary encode to beat JSON encode (true on quiet hosts).
-    """
-    wire = perf_payload["wire_codec"]
-    assert wire["size_ratio_json_over_binary"] > 2.0, wire
-    assert wire["binary"]["bytes_per_op"] < wire["json"]["bytes_per_op"]
-    for codec in ("json", "binary"):
-        assert wire[codec]["encode_ops_per_s"] > 5_000, wire
-        assert wire[codec]["decode_ops_per_s"] > 5_000, wire
-    if os.environ.get("REPRO_PERF_STRICT") == "1":
-        assert (wire["binary"]["encode_ops_per_s"]
-                > wire["json"]["encode_ops_per_s"]), wire
-
-
-def test_live_open_loop_meets_the_requested_rate(perf_payload):
-    """The open-loop leg must achieve most of its requested arrival rate.
-
-    The quick-scale rate is set well inside the measured 1-core capacity,
-    so falling below 80% of it means a genuine regression in the wire or
-    the driver, not machine noise; both codecs must also finish with no
-    abandoned arrivals.
-    """
-    live = perf_payload["live"]
-    assert set(live["codecs"]) == {"binary", "json"}
-    for codec, row in live["codecs"].items():
-        assert row["ops"] > 0, (codec, row)
-        assert row["abandoned"] == 0, (codec, row)
-        assert row["achieved_rate_per_s"] >= 0.8 * live["rate_per_s"], \
-            (codec, row)
-        assert row["response_ms"], (codec, row)
-
-
-def test_fleet_routing_overhead_within_bounds(perf_payload):
-    """The fleet layer must stay cheap: fast ring, near-zero routing tax.
-
-    Ring lookups are pure CPU (blake2b + binary search) and must clear an
-    absolute floor on any machine.  The single-group FleetStore adds one
-    ring lookup and a counter bump per op with zero extra wire traffic, so
-    its p99 against a plain LiveStore on the identical workload sits near
-    1.0 — the unconditional bound is loose because both sides are live
-    I/O-bound loops on shared CI hosts; REPRO_PERF_STRICT=1 tightens it.
-    Every planned online split must have completed with a bounded write
-    pause (the fence→flip window measures single-digit ms).
-    """
-    fleet = perf_payload["fleet"]
-    assert fleet["ring"]["lookups_per_s"] > 50_000, fleet["ring"]
-
-    routing = fleet["routing"]
-    assert routing["ops"] > 0
-    assert routing["p99_overhead_ratio"] <= 2.5, routing
-    if os.environ.get("REPRO_PERF_STRICT") == "1":
-        assert routing["p99_overhead_ratio"] <= 1.5, routing
-
-    migration = fleet["migration"]
-    assert migration["completed"] == migration["planned"], migration
-    assert migration["crashed"] is False, migration
-    assert migration["placement_epoch"] == 1 + migration["completed"]
-    assert migration["ops_under_load"] > 0
-    assert migration["pause_ms"]["max"] < 1_000.0, migration
-
-
 def test_speedup_vs_seed_baseline(perf_payload):
     """The baseline comparison must be present and well-formed.
 

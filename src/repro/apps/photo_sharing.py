@@ -18,11 +18,10 @@ The module has two halves:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.api import Store, UnsupportedOperationError, open_store
+from repro.api import Store, UnsupportedOperationError
 from repro.core.events import Operation
 from repro.core.history import History
 from repro.core.librss import LibRSS
@@ -215,20 +214,12 @@ class PhotoSharingApp:
     ``fence``).  It needs a *simulated transactional* store: the messaging
     service is an in-simulator node, so the store must expose the sim
     environment/network, and ``add_photo`` uses multi-key transactions.
-    (Passing a raw :class:`~repro.spanner.cluster.SpannerCluster` still
-    works but is deprecated.)
 
     All methods that perform service operations are generators intended to be
     driven by the simulation (``yield from app.add_photo(...)``).
     """
 
     def __init__(self, store: Store, queue_site: str = "CA"):
-        if not isinstance(store, Store):
-            warnings.warn(
-                "passing a cluster to PhotoSharingApp is deprecated; pass a "
-                "Store from repro.api.open_store", DeprecationWarning,
-                stacklevel=2)
-            store = open_store(store)
         if not store.supports("multi_key_txn"):
             raise UnsupportedOperationError(
                 "PhotoSharingApp needs a transactional backend "

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.api import open_store
-from repro.api.executors import ycsb_executor as _api_ycsb_executor
+from repro.api import open_store, ycsb_executor
 from repro.bench.runner import SweepSpec, run_sweep
 from repro.core.history import History
 from repro.gryff.config import GryffConfig, GryffVariant
@@ -76,19 +75,6 @@ class GryffExperimentResult:
         return self.reads_slow / total if total else 0.0
 
 
-def __getattr__(name):
-    if name == "ycsb_executor":
-        # Deprecated alias: the unified executor runs YCSB against *any*
-        # backend session.
-        import warnings
-
-        warnings.warn(
-            "repro.bench.gryff_experiments.ycsb_executor is deprecated; "
-            "use repro.api.ycsb_executor", DeprecationWarning, stacklevel=2)
-        return _api_ycsb_executor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def run_ycsb_experiment(
     variant: GryffVariant,
     write_ratio: float,
@@ -114,7 +100,7 @@ def run_ycsb_experiment(
             conflict_rate=conflict_rate, seed=seed * 1000 + index,
         )))
     driver = ClosedLoopDriver(
-        store.env, pairs, _api_ycsb_executor, duration_ms=duration_ms,
+        store.env, pairs, ycsb_executor, duration_ms=duration_ms,
     )
     driver.start()
     store.run()

@@ -45,9 +45,6 @@ __all__ = [
     "bench_metrics_overhead",
     "bench_streaming_checker",
     "bench_sweep_wall_clock",
-    "bench_wire_codec",
-    "bench_live_open_loop",
-    "bench_fleet_routing",
     "run_perf_suite",
     "attach_baseline",
     "perf_report_rows",
@@ -75,17 +72,6 @@ PERF_SCALES: Dict[str, Dict[str, Any]] = {
         "metrics_ops_per_client": 40,
         "metrics_clients": 4,
         "metrics_repeats": 2,
-        "wire_messages": 2_000,
-        "wire_batch": 64,
-        "live_rate_per_s": 1_200.0,
-        "live_duration_ms": 1_200.0,
-        "live_clients": 8,
-        "fleet_lookup_keys": 50_000,
-        "fleet_ops_per_client": 40,
-        "fleet_clients": 4,
-        "fleet_repeats": 2,
-        "fleet_migrations": 4,
-        "fleet_migration_duration_ms": 1_500.0,
     },
     "full": {
         "history_sizes": (200, 500, 1000, 2000, 5000),
@@ -99,17 +85,6 @@ PERF_SCALES: Dict[str, Dict[str, Any]] = {
         "metrics_ops_per_client": 80,
         "metrics_clients": 4,
         "metrics_repeats": 3,
-        "wire_messages": 8_000,
-        "wire_batch": 64,
-        "live_rate_per_s": 2_500.0,
-        "live_duration_ms": 4_000.0,
-        "live_clients": 16,
-        "fleet_lookup_keys": 200_000,
-        "fleet_ops_per_client": 80,
-        "fleet_clients": 4,
-        "fleet_repeats": 3,
-        "fleet_migrations": 6,
-        "fleet_migration_duration_ms": 3_000.0,
     },
 }
 
@@ -443,364 +418,6 @@ def bench_metrics_overhead(ops_per_client: int = 40, num_clients: int = 4,
     }
 
 
-def _wire_sample_messages(count: int, seed: int = 13) -> List[Any]:
-    """Deterministic messages shaped like live Gryff/Spanner RPC traffic.
-
-    The mix mirrors what a YCSB run puts on the wire: small read requests,
-    replies carrying carstamps, write rounds with dependency lists, and the
-    occasional larger Spanner-style prepare with a key/value map — so the
-    codec comparison reflects real frame contents, not toy payloads.
-    """
-    from repro.sim.network import Message
-
-    rng = random.Random(seed)
-    replicas = ["replica1", "replica2", "replica3"]
-    clients = [f"client{i}@CA" for i in range(1, 5)]
-    messages: List[Any] = []
-    for index in range(count):
-        key = f"user:{rng.randrange(1000):04d}"
-        carstamp = [rng.randrange(8), rng.randrange(64), rng.choice(replicas)]
-        shape = index % 4
-        if shape == 0:
-            kind, payload = "read1", {
-                "key": key, "op_id": index, "client": rng.choice(clients)}
-        elif shape == 1:
-            kind, payload = "read1-reply", {
-                "key": key, "op_id": index, "value": f"v-{index:08d}",
-                "carstamp": carstamp}
-        elif shape == 2:
-            kind, payload = "write2", {
-                "key": key, "op_id": index, "value": f"v-{index:08d}",
-                "carstamp": carstamp,
-                "deps": [[rng.randrange(8), rng.randrange(64),
-                          rng.choice(replicas)] for _ in range(2)]}
-        else:
-            kind, payload = "prepare", {
-                "txn_id": index, "coordinator": rng.choice(replicas),
-                "writes": {f"{key}:{j}": f"v-{index}-{j}" for j in range(3)},
-                "timestamp": rng.random() * 1e4, "read_only": False}
-        messages.append(Message(
-            src=rng.choice(clients if shape == 0 else replicas),
-            dst=rng.choice(replicas), kind=kind, payload=payload,
-            send_time=float(index), msg_id=index))
-    return messages
-
-
-def bench_wire_codec(num_messages: int = 2_000, batch_size: int = 64,
-                     repeats: int = 3, seed: int = 13) -> Dict[str, Any]:
-    """Encode/decode throughput and wire size: JSON v1 vs binary v2.
-
-    Encodes the same deterministic message sample with both codecs in
-    transport-sized batches (the v1 path frames each message individually,
-    exactly as the transport's JSON fallback does; the v2 path emits one
-    batch frame via a warm :class:`~repro.net.wire.BinaryEncoder`), then
-    decodes the resulting byte stream through a fresh
-    :class:`~repro.net.wire.FrameDecoder` (the binary stream is prefixed
-    with the encoder's HELLO snapshot, as on a reconnect).  Best-of-repeats
-    throughputs plus bytes/message for each codec.
-    """
-    from repro.net.wire import (BinaryEncoder, FrameDecoder, encode_frame,
-                                message_to_frame)
-
-    messages = _wire_sample_messages(num_messages, seed=seed)
-    batches = [messages[i:i + batch_size]
-               for i in range(0, len(messages), batch_size)]
-
-    def timed(fn) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    # --- encode ----------------------------------------------------------
-    json_frames: List[bytes] = []
-
-    def encode_json() -> None:
-        json_frames.clear()
-        for batch in batches:
-            json_frames.extend(encode_frame(message_to_frame(m))
-                               for m in batch)
-
-    warm = BinaryEncoder()
-    for batch in batches:          # warm the intern table once
-        warm.encode_batch(batch)
-    binary_frames: List[bytes] = []
-
-    def encode_binary() -> None:
-        binary_frames.clear()
-        binary_frames.extend(warm.encode_batch(batch) for batch in batches)
-
-    json_encode_s = timed(encode_json)
-    binary_encode_s = timed(encode_binary)
-    json_bytes = sum(len(f) for f in json_frames)
-    binary_hello = warm.hello_frame()
-    binary_bytes = sum(len(f) for f in binary_frames)
-
-    # --- decode ----------------------------------------------------------
-    json_stream = b"".join(json_frames)
-    binary_stream = binary_hello + b"".join(binary_frames)
-
-    def decode(stream: bytes, expect: int) -> None:
-        decoder = FrameDecoder()
-        records = decoder.feed(stream)   # HELLO updates state, no record
-        assert len(records) == expect, (len(records), expect)
-
-    json_decode_s = timed(lambda: decode(json_stream, num_messages))
-    binary_decode_s = timed(lambda: decode(binary_stream, num_messages))
-
-    n = float(num_messages)
-    return {
-        "messages": num_messages,
-        "batch_size": batch_size,
-        "repeats": repeats,
-        "json": {
-            "encode_ops_per_s": n / json_encode_s,
-            "decode_ops_per_s": n / json_decode_s,
-            "bytes_per_op": json_bytes / n,
-        },
-        "binary": {
-            "encode_ops_per_s": n / binary_encode_s,
-            "decode_ops_per_s": n / binary_decode_s,
-            "bytes_per_op": binary_bytes / n,
-            "hello_bytes": len(binary_hello),
-        },
-        "size_ratio_json_over_binary": json_bytes / max(binary_bytes, 1),
-    }
-
-
-def bench_live_open_loop(rate_per_s: float = 1_200.0,
-                         duration_ms: float = 1_200.0,
-                         num_clients: int = 8,
-                         codecs: Sequence[str] = ("binary", "json"),
-                         seed: int = 47) -> Dict[str, Any]:
-    """Open-loop YCSB against an in-process 3-replica Gryff-RSC cluster.
-
-    One run per codec at the same requested arrival rate; each row records
-    the offered/achieved accounting from the
-    :class:`~repro.workloads.clients.OpenLoopDriver` and the
-    coordinated-omission-correct response percentiles.  The numbers are
-    honest live-loop measurements on whatever machine runs the suite (both
-    cluster and clients share this process), so CI bounds them only
-    loosely; the committed ``BENCH_perf.json`` captures the reference
-    machine.
-    """
-    import asyncio
-
-    from repro.net.cluster import LiveProcess
-    from repro.net.load import run_load
-    from repro.net.spec import ClusterSpec
-
-    async def one_run(codec: str) -> Dict[str, Any]:
-        spec = ClusterSpec.gryff(num_replicas=3, base_port=0)
-        server = LiveProcess(spec)
-        await server.start()
-        try:
-            summary = await run_load(
-                spec, num_clients=num_clients, duration_ms=duration_ms,
-                rate=rate_per_s, write_ratio=0.5, conflict_rate=0.2,
-                seed=seed, codec=codec)
-        finally:
-            await server.stop()
-        stats = summary["open_loop"]
-        row: Dict[str, Any] = {
-            "ops": summary["ops"],
-            "throughput_ops_per_s": summary["throughput_ops_per_s"],
-            "requested_rate_per_s": stats["requested_rate_per_s"],
-            "achieved_rate_per_s": stats["achieved_rate_per_s"],
-            "abandoned": stats["abandoned"],
-            "backlog_peak": stats["backlog_peak"],
-            "response_ms": {},
-        }
-        for category, pct in summary["categories"].items():
-            row["response_ms"][category] = {
-                "p50": pct["p50"], "p99": pct["p99"]}
-        return row
-
-    return {
-        "rate_per_s": rate_per_s,
-        "duration_ms": duration_ms,
-        "clients": num_clients,
-        "workload": "ycsb",
-        "protocol": "gryff-rsc",
-        "codecs": {codec: asyncio.run(one_run(codec)) for codec in codecs},
-    }
-
-
-def _nearest_rank(ordered: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample list."""
-    if not ordered:
-        return 0.0
-    index = max(0, min(len(ordered) - 1,
-                       int(fraction * len(ordered) + 0.999999) - 1))
-    return ordered[index]
-
-
-def bench_fleet_routing(lookup_keys: int = 50_000,
-                        ops_per_client: int = 40,
-                        num_clients: int = 4,
-                        repeats: int = 2,
-                        num_migrations: int = 4,
-                        migration_duration_ms: float = 1_500.0,
-                        seed: int = 53) -> Dict[str, Any]:
-    """Fleet-layer cost: ring lookups, routing overhead, migration pauses.
-
-    Three sections:
-
-    * ``ring`` — raw consistent-hash placement lookups/s (blake2b point
-      hash + binary search over the range table) on an 8-group placement.
-    * ``routing`` — the degenerate single-group :class:`~repro.api.store.
-      FleetStore` versus a plain :class:`~repro.api.store.LiveStore` on the
-      same closed-loop Gryff workload (same seed, same 3-replica cluster
-      shape).  The fleet layer adds one ring lookup and a dict update per
-      op and *zero* wire traffic, so the ops-weighted p99 ratio sits near
-      1.0; CI bounds it loosely (live loops are I/O-bound and noisy).
-    * ``migration`` — write-pause percentiles across ``num_migrations``
-      online splits executed under load on a live 2-group fleet: each
-      pause is the fence→flip window during which writes to the moving
-      range are frozen (the paper-facing "availability dip").
-    """
-    import asyncio
-    import tempfile
-
-    from repro.api.store import FleetStore, LiveStore
-    from repro.fleet.migration import MigrationPlan
-    from repro.fleet.ring import PlacementMap
-    from repro.fleet.spec import FleetSpec
-    from repro.net.cluster import LiveProcess
-    from repro.net.load import run_load
-    from repro.net.spec import ClusterSpec
-
-    # --- ring lookups -----------------------------------------------------
-    placement = PlacementMap.build([f"g{i}" for i in range(8)], seed=1)
-    keys = [f"user:{i:07d}" for i in range(lookup_keys)]
-
-    def lookup_all() -> None:
-        owner = placement.owner
-        for key in keys:
-            owner(key)
-
-    lookup_s = _time(lookup_all, repeats=3)
-    ring_row = {
-        "groups": 8,
-        "ranges": len(placement.ranges()),
-        "lookups": lookup_keys,
-        "lookup_s": lookup_s,
-        "lookups_per_s": lookup_keys / lookup_s,
-    }
-
-    # --- routing overhead (1-group fleet vs plain LiveStore) --------------
-    async def one_run(fleet: bool) -> Dict[str, Any]:
-        if fleet:
-            spec = FleetSpec.build(protocol="gryff-rsc", num_groups=1,
-                                   base_port=0)
-            server = LiveProcess(spec.merged_spec(),
-                                 node_configs=spec.node_configs())
-        else:
-            spec = ClusterSpec.gryff(num_replicas=3, base_port=0)
-            server = LiveProcess(spec)
-        await server.start()
-        try:
-            summary = await run_load(
-                spec, num_clients=num_clients, duration_ms=None,
-                ops_per_client=ops_per_client, write_ratio=0.5,
-                conflict_rate=0.2, seed=seed)
-        finally:
-            await server.stop()
-        assert summary["ops"] == num_clients * ops_per_client
-        return summary
-
-    def best_run(fleet: bool) -> Dict[str, Any]:
-        top: Optional[Dict[str, Any]] = None
-        for _ in range(repeats):
-            summary = asyncio.run(one_run(fleet))
-            if top is None or (summary["throughput_ops_per_s"]
-                               > top["throughput_ops_per_s"]):
-                top = summary
-        return top
-
-    def weighted_p99(summary: Dict[str, Any]) -> float:
-        total = ops = 0.0
-        for pct in summary["categories"].values():
-            total += pct["count"] * pct["p99"]
-            ops += pct["count"]
-        return total / max(ops, 1.0)
-
-    plain = best_run(fleet=False)
-    fleet = best_run(fleet=True)
-    plain_p99 = weighted_p99(plain)
-    fleet_p99 = weighted_p99(fleet)
-    routing_row = {
-        "ops": num_clients * ops_per_client,
-        "clients": num_clients,
-        "repeats": repeats,
-        "livestore_ops_per_s": plain["throughput_ops_per_s"],
-        "fleetstore_ops_per_s": fleet["throughput_ops_per_s"],
-        "throughput_ratio": (fleet["throughput_ops_per_s"]
-                             / max(plain["throughput_ops_per_s"], 1e-9)),
-        "livestore_p99_ms": plain_p99,
-        "fleetstore_p99_ms": fleet_p99,
-        "p99_overhead_ratio": fleet_p99 / max(plain_p99, 1e-9),
-    }
-
-    # --- migration pauses -------------------------------------------------
-    async def migration_run(journal: str) -> Dict[str, Any]:
-        spec = FleetSpec.build(protocol="gryff-rsc", num_groups=2,
-                               base_port=0, placement_seed=2)
-        # Evenly spaced splits, each sending its half-range to whichever
-        # group does NOT own it at that point in the schedule (tracked on a
-        # rolling copy, since every split changes ownership downstream).
-        from repro.fleet.ring import POINT_SPACE
-
-        step = migration_duration_ms / (num_migrations + 1)
-        rolling = spec.placement.copy()
-        plans = []
-        for i in range(num_migrations):
-            frac = (2 * i + 1) / (2 * num_migrations)
-            owner = rolling.owner_of_point(int(frac * POINT_SPACE))
-            dst = "g1" if owner == "g0" else "g0"
-            plan = MigrationPlan.parse(
-                f"{(i + 1) * step:.0f}:split:{frac:.6f}:{dst}")
-            lo, hi = plan.resolve(rolling)
-            rolling.move(lo, hi, dst)
-            plans.append(plan)
-        server = LiveProcess(spec.merged_spec(),
-                             node_configs=spec.node_configs())
-        await server.start()
-        try:
-            return await run_load(
-                spec, num_clients=num_clients,
-                duration_ms=migration_duration_ms + 400.0, seed=seed,
-                write_ratio=0.5, conflict_rate=0.2,
-                migrations=plans, migration_journal=journal)
-        finally:
-            await server.stop()
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-fleet-") as tmp:
-        summary = asyncio.run(migration_run(os.path.join(tmp, "mig.journal")))
-    migrations = summary["migration"]["migrations"]
-    pauses = sorted(m["pause_ms"] for m in migrations)
-    copied = sum(m.get("keys_copied", 0) for m in migrations)
-    migration_row = {
-        "planned": num_migrations,
-        "completed": len(migrations),
-        "crashed": summary["migration"]["crashed"],
-        "placement_epoch": summary["migration"]["placement_epoch"],
-        "ops_under_load": summary["ops"],
-        "keys_copied": copied,
-        "pause_ms": {
-            "p50": _nearest_rank(pauses, 0.50),
-            "p99": _nearest_rank(pauses, 0.99),
-            "max": pauses[-1] if pauses else 0.0,
-        },
-        "client_pauses": summary["migration"]["client_pauses"],
-    }
-
-    return {"ring": ring_row, "routing": routing_row,
-            "migration": migration_row}
-
-
 def bench_sweep_wall_clock(client_counts: Sequence[int] = (4, 8, 16),
                            duration_ms: float = 600.0,
                            jobs: Optional[int] = None) -> Dict[str, Any]:
@@ -845,7 +462,7 @@ def run_perf_suite(scale: str = "quick",
         raise ValueError(f"unknown perf scale {scale!r}; use one of {sorted(PERF_SCALES)}")
     params = PERF_SCALES[scale]
     return {
-        "schema": "bench-perf/6",
+        "schema": "bench-perf/7",
         "scale": scale,
         "sweep_engine": True,
         "constraints": bench_constraint_derivation(params["history_sizes"]),
@@ -856,16 +473,6 @@ def run_perf_suite(scale: str = "quick",
         "metrics_overhead": bench_metrics_overhead(
             params["metrics_ops_per_client"], params["metrics_clients"],
             repeats=params["metrics_repeats"]),
-        "wire_codec": bench_wire_codec(params["wire_messages"],
-                                       params["wire_batch"]),
-        "live": bench_live_open_loop(params["live_rate_per_s"],
-                                     params["live_duration_ms"],
-                                     params["live_clients"]),
-        "fleet": bench_fleet_routing(
-            params["fleet_lookup_keys"], params["fleet_ops_per_client"],
-            params["fleet_clients"], repeats=params["fleet_repeats"],
-            num_migrations=params["fleet_migrations"],
-            migration_duration_ms=params["fleet_migration_duration_ms"]),
         "sweep_wall_clock": bench_sweep_wall_clock(
             params["sweep_client_counts"], params["sweep_duration_ms"],
             jobs=jobs),
@@ -958,46 +565,6 @@ def perf_report_rows(payload: Dict[str, Any]) -> List[List[Any]]:
                      f"{metrics['registry_on_ops_per_s']:,.0f}"])
         rows.append(["metrics throughput ratio (on/off)",
                      f"{metrics['throughput_ratio']:.3f}"])
-    wire = payload.get("wire_codec")
-    if wire:
-        for codec in ("json", "binary"):
-            side = wire[codec]
-            rows.append([f"wire {codec} encode (msgs/s)",
-                         f"{side['encode_ops_per_s']:,.0f}"])
-            rows.append([f"wire {codec} decode (msgs/s)",
-                         f"{side['decode_ops_per_s']:,.0f}"])
-            rows.append([f"wire {codec} bytes/msg",
-                         f"{side['bytes_per_op']:.1f}"])
-        rows.append(["wire size ratio (json/binary)",
-                     f"{wire['size_ratio_json_over_binary']:.2f}x"])
-    live = payload.get("live")
-    if live:
-        for codec, row in live["codecs"].items():
-            rows.append([f"live open-loop {codec} @ {live['rate_per_s']:,.0f}/s "
-                         "achieved (ops/s)",
-                         f"{row['achieved_rate_per_s']:,.0f}"])
-            for category, pct in sorted(row["response_ms"].items()):
-                rows.append([f"live open-loop {codec} {category} response "
-                             "p50/p99 (ms)",
-                             f"{pct['p50']:.2f} / {pct['p99']:.2f}"])
-    fleet = payload.get("fleet")
-    if fleet:
-        ring = fleet["ring"]
-        rows.append([f"fleet ring lookups/s ({ring['groups']} groups)",
-                     f"{ring['lookups_per_s']:,.0f}"])
-        routing = fleet["routing"]
-        rows.append(["fleet routing p99 overhead (1-group vs plain)",
-                     f"{routing['p99_overhead_ratio']:.3f}x "
-                     f"({routing['fleetstore_p99_ms']:.2f} ms vs "
-                     f"{routing['livestore_p99_ms']:.2f} ms)"])
-        rows.append(["fleet routing throughput ratio",
-                     f"{routing['throughput_ratio']:.3f}"])
-        mig = fleet["migration"]
-        rows.append([f"fleet migration pause p50/p99/max (ms, "
-                     f"{mig['completed']} splits)",
-                     f"{mig['pause_ms']['p50']:.2f} / "
-                     f"{mig['pause_ms']['p99']:.2f} / "
-                     f"{mig['pause_ms']['max']:.2f}"])
     sweep = payload.get("sweep_wall_clock")
     if sweep:
         rows.append([f"sweep serial wall clock ({sweep['trials']} trials, s)",

@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence
 
-from repro.api import open_store, reset_session
-from repro.api.executors import make_retwis_executor as _api_make_retwis_executor
+from repro.api import make_retwis_executor, open_store, reset_session
 from repro.bench.runner import SweepSpec, run_sweep
 from repro.core.history import History
 from repro.sim.stats import LatencyRecorder, Percentiles
@@ -83,20 +82,6 @@ class SpannerExperimentResult:
         return blocked / requests if requests else 0.0
 
 
-def __getattr__(name):
-    if name == "make_retwis_executor":
-        # Deprecated alias: the unified executor runs Retwis against any
-        # session with the ``multi_key_txn`` capability.
-        import warnings
-
-        warnings.warn(
-            "repro.bench.spanner_experiments.make_retwis_executor is "
-            "deprecated; use repro.api.make_retwis_executor",
-            DeprecationWarning, stacklevel=2)
-        return _api_make_retwis_executor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def run_retwis_experiment(
     variant: Variant,
     zipf_skew: float,
@@ -128,7 +113,7 @@ def run_retwis_experiment(
             workload_by_session[session.name] = workload
             pairs.append((session, workload))
 
-    executor = _api_make_retwis_executor(workload_by_session)
+    executor = make_retwis_executor(workload_by_session)
     driver = PartlyOpenDriver(
         store.env, pairs, executor,
         arrival_rate_per_client=session_arrival_rate_per_sec / 1000.0,
@@ -263,7 +248,7 @@ def run_load_experiment(
                                   value_tag=f"{session.name}-")
         workload_by_session[session.name] = workload
         pairs.append((session, workload))
-    executor = _api_make_retwis_executor(workload_by_session)
+    executor = make_retwis_executor(workload_by_session)
     driver = ClosedLoopDriver(
         store.env, pairs, executor, duration_ms=duration_ms,
     )

@@ -242,29 +242,18 @@ def _augmented_history(protocol: str, history: History, nodes,
 # --------------------------------------------------------------------------- #
 def _check_and_judge(report: ChaosReport, scenario: Scenario,
                      augmented: History, run_start: float) -> None:
-    from repro.core.checkers.streaming import stream_history
-    from repro.net.check import streaming_checker_for
+    from repro.net.check import TraceCheck
 
-    checker = streaming_checker_for(report.protocol, model=report.model,
-                                    min_epoch_ops=8)
-    stream = stream_history(augmented, report.model, checker=checker)
-    report.ops = stream.ops_checked
-    report.epochs = stream.epochs
-    report.satisfied = stream.satisfied
-    windows = [(run_start + start, run_start + end)
-               for start, end in scenario.fault_windows()]
-    report.fault_windows = [(round(s, 3), round(e, 3)) for s, e in windows]
-    for verdict in stream.verdicts:
-        if verdict.satisfied is not False:
-            continue
-        report.violations.append(verdict.describe())
-        start = verdict.start_time if verdict.start_time is not None else 0.0
-        end = (verdict.end_time if verdict.end_time is not None
-               else float("inf"))
-        inside = any(start <= w_end and end >= w_start
-                     for w_start, w_end in windows)
-        if not inside:
-            report.violations_outside_windows.append(verdict.describe())
+    checked = TraceCheck(
+        report.protocol, report.model, min_epoch_ops=8,
+        fault_windows=scenario.fault_windows(),
+    ).check_history(augmented, anchor=run_start)
+    report.ops = checked.ops_checked
+    report.epochs = checked.epochs
+    report.satisfied = checked.satisfied
+    report.fault_windows = checked.fault_windows
+    report.violations = checked.violations
+    report.violations_outside_windows = checked.violations_outside_windows
 
 
 # --------------------------------------------------------------------------- #

@@ -188,14 +188,13 @@ async def _run_async(trace_dir: str, *, seed: int,
 
 
 def _check_merged(report: ReshardReport) -> None:
-    from repro.net.check import check_trace
-    from repro.net.recorder import read_merged_traces
+    from repro.net.check import TraceCheck
 
-    _meta, history = read_merged_traces(report.trace_paths)
-    report.merged_ops = len(history)
-    result = check_trace(history, report.protocol, report.model)
-    report.satisfied = bool(result)
-    report.violation = None if result else result.reason
+    checked = TraceCheck(report.protocol, report.model).batch(
+        report.trace_paths)
+    report.merged_ops = checked.ops_checked
+    report.satisfied = checked.satisfied
+    report.violation = None if checked.satisfied else checked.reason
 
 
 def run_reshard_crash(trace_dir: Optional[str] = None, *, seed: int = 13,

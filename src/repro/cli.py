@@ -485,138 +485,44 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _declared_model(meta: Dict[str, Any]) -> Optional[str]:
-    """The checker model for the consistency level the load declared when
-    it captured the trace (``repro load --level``), if recorded."""
-    level = meta.get("level")
-    if not level:
-        return None
-    from repro.api.levels import ConsistencyLevel
-
-    try:
-        return ConsistencyLevel.parse(level).checker_model
-    except ValueError:
-        return None
-
-
-def _live_check_follow(args: argparse.Namespace, protocol: Optional[str]) -> int:
-    """Streaming (epoch-windowed) trace checking for ``live-check --follow``."""
-    import itertools
-
-    from repro.net.check import (
-        check_record_stream,
-        default_model_for,
-        streaming_checker_for,
-    )
-    from repro.net.recorder import follow_trace_records, merge_record_streams
-
-    traces = args.trace
-    label = traces[0] if len(traces) == 1 else ",".join(traces)
-    checker = None
-    interrupted = False
-    try:
-        if len(traces) == 1:
-            records = iter(follow_trace_records(
-                traces[0], poll_interval=args.poll_interval,
-                idle_timeout=args.idle_timeout))
-        else:
-            records = iter(merge_record_streams(
-                traces, poll_interval=args.poll_interval,
-                idle_timeout=args.idle_timeout))
-        # Peek at the leading record to learn the protocol from the trace's
-        # meta header, then hand the rest to the shared record dispatcher.
-        buffered: List[Dict[str, Any]] = []
-        first = next(records, None)
-        if first is not None:
-            declared = None
-            if first.get("type") == "meta":
-                protocol = protocol or first.get("protocol")
-                declared = _declared_model(first)
-            buffered.append(first)
-            if not protocol:
-                print("trace has no protocol header; pass --protocol",
-                      file=sys.stderr)
-                return 2
-            model = args.model or declared or default_model_for(protocol)
-            checker = streaming_checker_for(
-                protocol, model, min_epoch_ops=args.min_epoch_ops,
-                on_verdict=lambda verdict: print(verdict.describe(),
-                                                 flush=True))
-            check_record_stream(itertools.chain(buffered, records), checker)
-    except KeyboardInterrupt:
-        interrupted = True
-    except ValueError as exc:
-        print(f"cannot check trace: {exc}", file=sys.stderr)
-        return 2
-    if checker is None:
-        print(f"no records found at {label}", file=sys.stderr)
-        return 2
-    report = checker.close()
-    verdict = "SATISFIED" if report.satisfied else (
-        f"VIOLATED ({report.first_violation.describe()})")
-    print(f"live-check --follow {label}: {report.ops_checked} ops in "
-          f"{report.epochs} epoch(s), peak epoch {report.max_segment_ops} "
-          f"ops — {report.model}: {verdict}"
-          + (" [interrupted]" if interrupted else ""))
-    _write_json(args.json, {
-        "trace": label,
-        "protocol": protocol,
-        "model": report.model,
-        "streaming": True,
-        "operations": report.ops_checked,
-        "epochs": report.epochs,
-        "max_segment_ops": report.max_segment_ops,
-        "satisfied": report.satisfied,
-        "first_violation": (report.first_violation.describe()
-                            if report.first_violation else None),
-        "verdicts": [verdict.describe() for verdict in report.verdicts],
-    })
-    return 0 if report.satisfied else 1
-
-
 def cmd_live_check(args: argparse.Namespace) -> int:
-    from repro.net.check import check_trace, default_model_for
-    from repro.net.recorder import read_merged_traces, read_trace
+    from repro.net.check import TraceCheck
 
-    traces = args.trace
-    label = traces[0] if len(traces) == 1 else ",".join(traces)
-    if args.follow:
-        return _live_check_follow(args, args.protocol)
+    check = TraceCheck(
+        args.protocol, args.model, min_epoch_ops=args.min_epoch_ops,
+        on_verdict=lambda verdict: print(verdict.describe(), flush=True))
     try:
-        if len(traces) == 1:
-            meta, history = read_trace(traces[0])
+        if args.follow:
+            report = check.follow(args.trace,
+                                  poll_interval=args.poll_interval,
+                                  idle_timeout=args.idle_timeout)
         else:
-            meta, history = read_merged_traces(traces)
-    except FileNotFoundError as exc:
+            report = check.batch(args.trace)
+    except (FileNotFoundError, ValueError) as exc:
         print(f"cannot check trace: {exc}", file=sys.stderr)
         return 2
-    protocol = args.protocol or meta.get("protocol")
-    if not protocol:
-        print("trace has no protocol header; pass --protocol", file=sys.stderr)
+    if report.model is None:
+        if args.follow and not report.records:
+            print(f"no records found at {report.trace}", file=sys.stderr)
+        else:
+            print("trace has no protocol header; pass --protocol",
+                  file=sys.stderr)
         return 2
-    try:
-        # Precedence: explicit --model, then the level the load declared
-        # when capturing the trace, then the protocol's native model.
-        model = args.model or _declared_model(meta) or default_model_for(protocol)
-    except ValueError as exc:
-        print(f"cannot check trace: {exc}", file=sys.stderr)
-        return 2
-    result = check_trace(history, protocol, model)
-    payload = {
-        "trace": label,
-        "protocol": protocol,
-        "model": model,
-        "operations": len(history),
-        "complete": len(history.complete()),
-        "processes": len(history.processes()),
-        "satisfied": bool(result),
-        "reason": result.reason,
-    }
-    verdict = "SATISFIED" if result else f"VIOLATED ({result.reason})"
-    print(f"live-check {label}: {len(history)} ops from "
-          f"{payload['processes']} process(es) — {model}: {verdict}")
+    payload = report.to_dict()
+    if args.follow:
+        print(f"live-check --follow {report.trace}: {report.ops_checked} ops "
+              f"in {report.epochs} epoch(s), peak epoch "
+              f"{report.max_segment_ops} ops — {report.model}: "
+              f"{report.verdict_text()}"
+              + (" [interrupted]" if report.interrupted else ""))
+    else:
+        payload["complete"] = len(check.history.complete())
+        payload["processes"] = len(check.history.processes())
+        print(f"live-check {report.trace}: {report.ops_checked} ops from "
+              f"{payload['processes']} process(es) — {report.model}: "
+              f"{report.verdict_text()}")
     _write_json(args.json, payload)
-    return 0 if result else 1
+    return 0 if report.satisfied else 1
 
 
 # --------------------------------------------------------------------------- #

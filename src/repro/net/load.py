@@ -25,7 +25,6 @@ honor it) and selects the checker model for ``--check-inline``.
 from __future__ import annotations
 
 import asyncio
-import warnings
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api import make_retwis_executor, open_store, ycsb_executor
@@ -35,26 +34,9 @@ from repro.net.recorder import RecordingHistory, TraceWriter
 from repro.core.history import History
 from repro.sim.stats import LatencyRecorder
 from repro.workloads.clients import ClosedLoopDriver, OpenLoopDriver
-from repro.workloads.ycsb import OperationSpec, YcsbWorkload
+from repro.workloads.ycsb import YcsbWorkload
 
-__all__ = ["run_load", "load_main", "spanner_ycsb_executor"]
-
-
-def spanner_ycsb_executor(client, spec: OperationSpec):
-    """Deprecated: the unified :func:`repro.api.ycsb_executor` maps YCSB
-    operations onto any backend session."""
-    warnings.warn("spanner_ycsb_executor is deprecated; use "
-                  "repro.api.ycsb_executor", DeprecationWarning, stacklevel=2)
-    from repro.spanner.client import TransactionAborted
-
-    try:
-        if spec.kind == "write":
-            yield from client.read_write_transaction(
-                [], lambda _reads, _key=spec.key, _value=spec.value: {_key: _value})
-        else:
-            yield from client.read_only_transaction([spec.key])
-    except TransactionAborted:
-        pass  # retried out; the recorder already saw the latency of retries
+__all__ = ["run_load", "load_main"]
 
 
 def _build_sessions(store: LiveStore, num_clients: int, client_prefix: str,
@@ -138,11 +120,10 @@ async def run_load(spec, *,
     the op count; ``ops == 0`` means the cluster was unreachable.  With
     ``check_inline`` a streaming checker rides on the history's observer
     hook, validating each quiescent epoch as the load runs; its
-    :class:`~repro.core.checkers.streaming.StreamReport` lands in
-    ``summary["check"]``.  ``level`` declares the consistency level the
-    sessions are opened at (negotiated against the cluster's protocol;
-    default: the protocol's native level) and the model the inline checker
-    validates.
+    :class:`~repro.net.check.TraceReport` lands in ``summary["check"]``.
+    ``level`` declares the consistency level the sessions are opened at
+    (negotiated against the cluster's protocol; default: the protocol's
+    native level) and the model the inline checker validates.
 
     ``metrics`` — a :class:`~repro.obs.MetricsRegistry` — instruments the
     client-side transport (and the inline checker, when active) and adds a
@@ -223,15 +204,13 @@ async def run_load(spec, *,
         controller = MigrationController(
             spec, store, journal_path=migration_journal,
             crash_phase=migration_crash_phase)
-    checker = None
+    check = None
     if check_inline:
-        from repro.net.check import streaming_checker_for
+        from repro.net.check import TraceCheck
 
-        checker = streaming_checker_for(spec.protocol,
-                                        model=declared.checker_model,
-                                        min_epoch_ops=check_min_epoch_ops,
-                                        on_verdict=on_verdict)
-        history.attach_observer(checker)
+        check = TraceCheck(spec.protocol, declared.checker_model,
+                           min_epoch_ops=check_min_epoch_ops,
+                           on_verdict=on_verdict).observe(history)
     if admission is not None:
         store.admission = admission
     metrics_server = None
@@ -239,8 +218,8 @@ async def run_load(spec, *,
         from repro.obs.instrument import instrument_checker, instrument_transport
 
         instrument_transport(metrics, store.process.transport, node="load")
-        if checker is not None:
-            instrument_checker(metrics, checker)
+        if check is not None:
+            instrument_checker(metrics, check.checker)
         if is_fleet:
             from repro.obs.instrument import instrument_fleet
 
@@ -348,17 +327,8 @@ async def run_load(spec, *,
         summary["migration"] = migration_summary
     if is_fleet:
         summary["routed_ops"] = dict(store.tracker.routed_ops)
-    if checker is not None:
-        report = checker.close()
-        summary["check"] = {
-            "satisfied": report.satisfied,
-            "model": report.model,
-            "epochs": report.epochs,
-            "ops_checked": report.ops_checked,
-            "max_segment_ops": report.max_segment_ops,
-            "first_violation": (report.first_violation.describe()
-                                if report.first_violation else None),
-        }
+    if check is not None:
+        summary["check"] = check.close().to_dict()
     if metrics is not None:
         summary["metrics"] = metrics.as_dict()
     if admission is not None:

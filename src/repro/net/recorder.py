@@ -17,9 +17,12 @@ loses at most the in-flight operation.  The file format is the
 
 Long-running captures can bound file sizes with ``rotate_bytes``: the writer
 then produces ``trace-0001.jsonl``, ``trace-0002.jsonl``, ... (each with its
-own meta header, so every file is standalone-loadable), and the readers —
-:func:`read_trace`, ``History.from_jsonl``, ``live-check --follow`` — accept
-the base path as a name for the whole set.
+own meta header, so every file is standalone-loadable), and the readers
+accept the base path as a name for the whole set.
+
+Reading has one entry point, :func:`trace_records`: one path, one rotated
+set, or several traces merged by timestamp, followed live or read to EOF.
+:func:`read_trace` loads the same sources into a :class:`History`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import json
 import os
 import time as _time
 import warnings
-from typing import Any, Callable, Dict, IO, Iterator, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, IO, Iterator, Optional, Sequence, Tuple, Union,
+)
 
 from repro.core.events import Operation
 from repro.core.history import History, iter_jsonl_records, resolve_jsonl_paths
@@ -38,9 +43,9 @@ __all__ = [
     "TraceWriter",
     "RecordingHistory",
     "read_trace",
+    "trace_records",
     "follow_trace_records",
     "merge_record_streams",
-    "read_merged_traces",
 ]
 
 TRACE_SCHEMA = "repro-trace/2"
@@ -199,14 +204,34 @@ class RecordingHistory(History):
         self.attach_observer(writer)
 
 
-def read_trace(source: Union[str, IO[str]]
-               ) -> Tuple[Dict[str, Any], History]:
-    """Load a trace in one streaming pass: returns ``(meta, history)``.
+def trace_records(sources: Union[str, Sequence[str]],
+                  **follow_kwargs) -> Iterator[Dict[str, Any]]:
+    """The record stream of one trace or of several merged by timestamp.
 
-    ``meta`` is the first ``{"type": "meta"}`` record (empty dict if the file
-    is a bare :meth:`History.to_jsonl` dump).  A path naming a rotated set
-    loads every file of the set in order; a crash-truncated final line is
-    tolerated — the capture loses at most its in-flight record.
+    ``sources`` is one path (a plain file or the base path of a rotated
+    set) or a sequence of paths.  A single source is followed as written —
+    every record, per-file ``meta`` headers included, with its op ids
+    untouched (:func:`follow_trace_records`); several sources go through
+    :func:`merge_record_streams` (one merged ``meta``, op ids qualified per
+    stream).  ``follow_kwargs`` are :func:`follow_trace_records`'s;
+    ``idle_timeout=0`` reads what exists to EOF and stops.
+    """
+    paths = [sources] if isinstance(sources, str) else list(sources)
+    if len(paths) == 1:
+        return follow_trace_records(paths[0], **follow_kwargs)
+    return merge_record_streams(paths, **follow_kwargs)
+
+
+def read_trace(source: Union[str, Sequence[str], IO[str]]
+               ) -> Tuple[Dict[str, Any], History]:
+    """Load a finished trace in one streaming pass: ``(meta, history)``.
+
+    ``source`` is anything :func:`trace_records` opens — one path, a rotated
+    set, several traces to merge — or an open text handle.  ``meta`` is the
+    first ``{"type": "meta"}`` record (empty dict if the file is a bare
+    :meth:`History.to_jsonl` dump).  A crash-truncated final line is
+    tolerated — the capture loses at most its in-flight record; a path that
+    names no file raises ``FileNotFoundError``.
     """
     meta: Dict[str, Any] = {}
 
@@ -217,20 +242,14 @@ def read_trace(source: Union[str, IO[str]]
                 continue
             yield record
 
-    if isinstance(source, str):
-        # One streaming pass over the whole (possibly rotated) set; the
-        # leading meta header is captured, later files' headers are skipped
-        # by from_records.
-        def lines():
-            for path in resolve_jsonl_paths(source):
-                with open(path, "r", encoding="utf-8") as handle:
-                    yield from handle
-
-        history = History.from_records(
-            capture_meta(iter_jsonl_records(lines())))
-        return meta, history
-    history = History.from_records(capture_meta(iter_jsonl_records(source)))
-    return meta, history
+    if hasattr(source, "read"):
+        records = iter_jsonl_records(source)
+    else:
+        paths = [source] if isinstance(source, str) else list(source)
+        for path in paths:
+            resolve_jsonl_paths(path)   # a follower would wait for the file
+        records = trace_records(paths, idle_timeout=0)
+    return meta, History.from_records(capture_meta(records))
 
 
 # --------------------------------------------------------------------------- #
@@ -443,24 +462,3 @@ def merge_record_streams(sources, **follow_kwargs) -> Iterator[Dict[str, Any]]:
             active.remove(best)
     if not emitted_meta:
         yield merged_meta()
-
-
-def read_merged_traces(paths) -> Tuple[Dict[str, Any], History]:
-    """Load several (possibly rotated) traces as one merged history.
-
-    The offline counterpart of :func:`merge_record_streams`: returns
-    ``(merged meta, History)`` exactly like :func:`read_trace` does for a
-    single file.
-    """
-    meta: Dict[str, Any] = {}
-
-    def capture_meta(records):
-        for record in records:
-            if not meta and record.get("type") == "meta":
-                meta.update(record)
-                continue
-            yield record
-
-    history = History.from_records(capture_meta(
-        merge_record_streams(list(paths), idle_timeout=0)))
-    return meta, history

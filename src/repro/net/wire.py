@@ -41,10 +41,9 @@ receipt), so the sim and live wire formats remain interchangeable.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import struct
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.sim.network import Message
 
@@ -55,7 +54,6 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "WireError",
     "encode_frame",
-    "read_frame",
     "BinaryEncoder",
     "FrameDecoder",
     "message_to_frame",
@@ -101,40 +99,6 @@ def encode_frame(record: Dict[str, Any]) -> bytes:
     if len(body) > MAX_FRAME_BYTES:
         raise WireError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
     return _LENGTH.pack(len(body)) + body
-
-
-async def read_frame(
-    reader: "asyncio.StreamReader",
-    on_bytes: "Optional[Callable[[int], None]]" = None,
-) -> Optional[Dict[str, Any]]:
-    """Read one JSON (v1) frame; returns ``None`` on a clean EOF at a frame
-    boundary.
-
-    This is the single-frame v1 helper kept for tools and tests that speak
-    raw JSON over a socket (the ``nc``-able path).  The transport itself
-    reads through :class:`FrameDecoder`, which also understands v2 binary
-    frames (a v2 BATCH decodes to *several* records, which does not fit
-    this one-record-per-call contract).
-
-    ``on_bytes``, when given, is called with the frame's total wire size
-    (header + body) once the frame is fully read.
-    """
-    try:
-        header = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise WireError("connection closed mid-frame") from exc
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"peer announced a {length}-byte frame")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise WireError("connection closed mid-frame") from exc
-    if on_bytes is not None:
-        on_bytes(_LENGTH.size + length)
-    return _decode_body(body)
 
 
 def _decode_body(body: bytes) -> Dict[str, Any]:

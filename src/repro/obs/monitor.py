@@ -1,8 +1,9 @@
 """The ``repro monitor`` correctness sidecar.
 
-A monitor tails a live trace (rotated sets included) through
-:func:`~repro.net.recorder.follow_trace_records`, drives the streaming
-consistency checker continuously, and turns the paper's guarantee into an
+A monitor is the alerting front-end of the one trace-checking pipeline,
+:class:`~repro.net.check.TraceCheck`: it follows a live trace (rotated sets
+and merged fleet traces included), lets the pipeline judge every epoch
+against the declared fault windows, and turns the paper's guarantee into an
 *operational* signal:
 
 * its own ``/metrics`` endpoint reports the last verdict, the first
@@ -15,23 +16,24 @@ consistency checker continuously, and turns the paper's guarantee into an
 * violations *inside* a declared fault window are expected (the chaos
   engine's own judging rule) and only counted.
 
-Fault windows are scenario-relative millisecond intervals anchored at the
-first timestamped record of the trace — the same anchoring the chaos
-engine uses (``run_start`` is sampled just before the first operation;
-every catalog window carries slack well above the anchoring error).
+Fault windows are scenario-relative millisecond intervals the pipeline
+anchors at the first timestamped record of the trace (the chaos engine
+anchors the same windows at its ``run_start``, sampled just before the
+first operation; every catalog window carries slack well above the
+difference).
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
+from repro.net.check import TraceCheck, TraceReport, record_time
 from repro.obs.http import MetricsServer
 from repro.obs.instrument import instrument_checker
 from repro.obs.registry import MetricsRegistry
@@ -40,49 +42,17 @@ __all__ = ["ALERT_SCHEMA", "MonitorReport", "run_monitor"]
 
 ALERT_SCHEMA = "repro-alert/1"
 
-#: Record fields that carry a trace timestamp, by record type.
-_TIME_FIELDS = {"inv": "invoked_at", "op": "invoked_at", "abandon": "at"}
-
-
-class _ViolationStop(Exception):
-    """Internal: the first out-of-window violation ends the follow loop."""
-
 
 @dataclass
-class MonitorReport:
-    """Everything one monitor run observed, plus its exit code."""
+class MonitorReport(TraceReport):
+    """The pipeline's report plus what the sidecar did about it."""
 
-    trace: str
-    protocol: Optional[str] = None
-    model: Optional[str] = None
-    records: int = 0
-    ops_checked: int = 0
-    epochs: int = 0
-    satisfied: bool = True
-    violations: List[str] = field(default_factory=list)
-    violations_outside_windows: List[str] = field(default_factory=list)
-    fault_windows: List[Tuple[float, float]] = field(default_factory=list)
     alert: Optional[Dict[str, Any]] = None
-    interrupted: bool = False
     exit_code: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "trace": self.trace,
-            "protocol": self.protocol,
-            "model": self.model,
-            "records": self.records,
-            "operations": self.ops_checked,
-            "epochs": self.epochs,
-            "satisfied": self.satisfied,
-            "violations": list(self.violations),
-            "violations_outside_windows":
-                list(self.violations_outside_windows),
-            "fault_windows": [list(w) for w in self.fault_windows],
-            "alert": self.alert,
-            "interrupted": self.interrupted,
-            "exit_code": self.exit_code,
-        }
+        return {**super().to_dict(), "alert": self.alert,
+                "exit_code": self.exit_code}
 
 
 class _MetricsThread(threading.Thread):
@@ -142,21 +112,6 @@ class _MetricsThread(threading.Thread):
         self.join(timeout=5.0)
 
 
-def _record_time(record: Dict[str, Any]) -> Optional[float]:
-    fname = _TIME_FIELDS.get(record.get("type"))
-    if fname is None:
-        return None
-    value = record.get(fname)
-    return float(value) if value is not None else None
-
-
-def _overlaps(start: Optional[float], end: Optional[float],
-              windows: Sequence[Tuple[float, float]]) -> bool:
-    lo = start if start is not None else 0.0
-    hi = end if end is not None else float("inf")
-    return any(lo <= w_end and hi >= w_start for w_start, w_end in windows)
-
-
 def run_monitor(
     trace,
     *,
@@ -178,33 +133,21 @@ def run_monitor(
 ) -> MonitorReport:
     """Tail ``trace`` and check it continuously; see the module docstring.
 
-    ``trace`` is one path or a sequence of paths; several traces (one per
-    load generator of a fleet run) are merged by timestamp into the single
-    global record stream the checker consumes
-    (:func:`~repro.net.recorder.merge_record_streams`).  ``fault_windows``
-    are scenario-relative ``(start_ms, end_ms)`` intervals anchored at the
-    trace's first timestamped record.  ``metrics_port`` (0 = ephemeral)
-    serves the monitor's own ``/metrics``; the bound server runs until the
-    monitor returns.  Exit codes in the report: 0 clean, 1 out-of-window
-    violation (``alert`` is set), 2 unusable trace.
+    ``trace`` is one path or a sequence of paths (one per load generator of
+    a fleet run, merged by timestamp).  ``protocol`` / ``model`` override
+    the trace header (:func:`~repro.net.check.resolve_model`).
+    ``fault_windows`` are scenario-relative ``(start_ms, end_ms)``
+    intervals.  ``metrics_port`` (0 = ephemeral) serves the monitor's own
+    ``/metrics``; the bound server runs until the monitor returns.  Exit
+    codes in the report: 0 clean, 1 out-of-window violation (``alert`` is
+    set), 2 unusable trace.
     """
-    from repro.net.check import (
-        check_record_stream,
-        default_model_for,
-        streaming_checker_for,
-    )
-    from repro.net.recorder import follow_trace_records, merge_record_streams
-
-    traces = [trace] if isinstance(trace, str) else list(trace)
-    trace_label = traces[0] if len(traces) == 1 else ",".join(traces)
-    report = MonitorReport(trace=trace_label, protocol=protocol, model=model)
     registry = registry if registry is not None else MetricsRegistry()
+    report = MonitorReport()
 
     # Checker-lag bookkeeping: the wall instant the oldest record not yet
     # covered by a closed epoch was seen by the monitor.
-    state = {"pending": 0, "pending_since": 0.0, "anchor": None}
-    windows_relative = [(float(s), float(e)) for s, e in fault_windows]
-    windows_absolute: List[Tuple[float, float]] = []
+    state = {"pending": 0, "pending_since": 0.0}
 
     def lag_seconds() -> float:
         if state["pending"] == 0:
@@ -219,42 +162,25 @@ def run_monitor(
         "repro_monitor_following", "1 while the follow loop is running.",
     ).set_function(lambda: 1.0)
 
-    def observed(stream):
-        for record in stream:
-            report.records += 1
-            records_total.inc()
-            stamp = _record_time(record)
-            if stamp is not None and state["anchor"] is None:
-                state["anchor"] = stamp
-                windows_absolute.extend(
-                    (stamp + s, stamp + e) for s, e in windows_relative)
-                report.fault_windows = [
-                    (round(s, 3), round(e, 3)) for s, e in windows_absolute]
-            if record.get("type") in _TIME_FIELDS:
-                if state["pending"] == 0:
-                    state["pending_since"] = _clock()
-                state["pending"] += 1
-            yield record
-
-    closing = [False]
+    def on_record(record: Dict[str, Any]) -> None:
+        records_total.inc()
+        if record_time(record) is not None:
+            if state["pending"] == 0:
+                state["pending_since"] = _clock()
+            state["pending"] += 1
 
     def handle_verdict(verdict: Any) -> None:
         state["pending"] = 0
         if on_verdict is not None:
             on_verdict(verdict)
-        if verdict.satisfied is not False:
+        if report.alert is not None or not report.violations_outside_windows:
             return
-        report.violations.append(verdict.describe())
-        if _overlaps(verdict.start_time, verdict.end_time, windows_absolute):
-            return
-        report.violations_outside_windows.append(verdict.describe())
-        if report.alert is not None:
-            return
+        # The first violation the pipeline judged outside every window.
         alerts_total.inc()
         report.alert = {
             "type": "alert",
             "schema": ALERT_SCHEMA,
-            "trace": trace_label,
+            "trace": report.trace,
             "protocol": report.protocol,
             "model": verdict.model,
             "epoch": {
@@ -265,81 +191,32 @@ def run_monitor(
                 "reason": verdict.reason,
                 "op_ids": sorted(verdict.op_ids)[:64],
             },
-            "fault_windows": [list(w) for w in windows_absolute],
+            "fault_windows": [list(w) for w in check.windows or ()],
             "wall_time": _clock(),
         }
         _emit_alert(report.alert, alert_path)
-        if not closing[0]:
-            raise _ViolationStop
 
+    check = TraceCheck(protocol, model, min_epoch_ops=min_epoch_ops,
+                       fault_windows=fault_windows,
+                       on_verdict=handle_verdict, on_record=on_record,
+                       report=report)
     metrics_thread: Optional[_MetricsThread] = None
     if metrics_port is not None:
         metrics_thread = _MetricsThread(registry, metrics_host, metrics_port)
         metrics_thread.start_and_wait()
-
-    checker = None
     try:
-        if len(traces) == 1:
-            records = iter(follow_trace_records(
-                traces[0], poll_interval=poll_interval,
-                idle_timeout=idle_timeout, stop=stop,
-                max_poll_interval=max_poll_interval, backoff=backoff))
-        else:
-            records = iter(merge_record_streams(
-                traces, poll_interval=poll_interval,
-                idle_timeout=idle_timeout, stop=stop,
-                max_poll_interval=max_poll_interval, backoff=backoff))
-        try:
-            first = next(records, None)
-            if first is not None:
-                declared = None
-                if first.get("type") == "meta":
-                    report.protocol = report.protocol or first.get("protocol")
-                    declared = first.get("model") or _declared_model(first)
-                if not report.protocol:
-                    report.exit_code = 2
-                    return report
-                report.model = (model or declared
-                                or default_model_for(report.protocol))
-                checker = streaming_checker_for(
-                    report.protocol, report.model,
-                    min_epoch_ops=min_epoch_ops, on_verdict=handle_verdict)
-                instrument_checker(registry, checker,
-                                   lag_seconds=lag_seconds)
-                check_record_stream(
-                    observed(itertools.chain([first], records)), checker)
-        except _ViolationStop:
-            pass
-        except KeyboardInterrupt:
-            report.interrupted = True
-        if checker is None:
-            report.exit_code = 2
-            return report
-        # The close-time final epoch may still produce the first violation;
-        # the flag keeps its callback from raising mid-close.
-        closing[0] = True
-        stream_report = checker.close()
-        report.ops_checked = stream_report.ops_checked
-        report.epochs = stream_report.epochs
-        report.satisfied = stream_report.satisfied
-        report.exit_code = 1 if report.alert is not None else 0
-        return report
+        check.follow(
+            trace, stop_on_unexcused=True,
+            instrument=lambda checker: instrument_checker(
+                registry, checker, lag_seconds=lag_seconds),
+            poll_interval=poll_interval, idle_timeout=idle_timeout,
+            stop=stop, max_poll_interval=max_poll_interval, backoff=backoff)
     finally:
         if metrics_thread is not None:
             metrics_thread.stop()
-
-
-def _declared_model(meta: Dict[str, Any]) -> Optional[str]:
-    """The checker model for the trace's declared consistency level."""
-    level = meta.get("level")
-    if not level:
-        return None
-    from repro.api.levels import ConsistencyLevel
-
-    try:
-        return ConsistencyLevel.parse(level).checker_model
-    except ValueError:
-        return None
+    report.exit_code = 2 if report.model is None else int(
+        report.alert is not None)
+    return report
 
 
 def _emit_alert(alert: Dict[str, Any], alert_path: Optional[str]) -> None:

@@ -24,16 +24,11 @@ objects paired with their workload generators — and an *executor* callable,
 ``executor(session, spec)``, returning a generator that performs one
 workload item against the given session (:mod:`repro.api.executors` has the
 standard ones).
-
-The old calling convention (parallel ``clients``/``workloads`` lists with
-implicit index pairing) is still accepted with a :class:`DeprecationWarning`;
-pass explicit pairs instead.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
@@ -43,48 +38,19 @@ __all__ = ["ClosedLoopDriver", "PartlyOpenDriver", "OpenLoopDriver"]
 Pair = Tuple[Any, Any]
 
 
-def _resolve_pairs(sessions: Sequence[Any], workloads: Optional[Sequence[Any]],
-                   executor: Optional[Callable[[Any, Any], Any]],
-                   ) -> Tuple[List[Pair], Callable[[Any, Any], Any]]:
-    """Validate the driver's session/workload input.
-
-    New style: ``(pairs, executor)`` where every item of ``pairs`` is a
-    ``(session, workload)`` 2-tuple.  Legacy style: ``(clients, workloads,
-    executor)`` parallel lists (deprecated; lengths are validated instead of
-    silently zip-truncated).
-    """
-    if workloads is None or callable(workloads):
-        if callable(workloads) and executor is not None:
-            raise TypeError("pass either (pairs, executor) or legacy "
-                            "(clients, workloads, executor), not both")
-        resolved_executor = workloads if callable(workloads) else executor
-        if resolved_executor is None:
-            raise TypeError("an executor callable is required")
-        pairs: List[Pair] = []
-        for index, item in enumerate(sessions):
-            try:
-                session, workload = item
-            except (TypeError, ValueError):
-                raise TypeError(
-                    f"item {index} is not a (session, workload) pair: "
-                    f"{item!r}; drivers take explicit pairs "
-                    f"(zip your sessions and workload generators)") from None
-            pairs.append((session, workload))
-        return pairs, resolved_executor
-
-    warnings.warn(
-        "passing parallel clients/workloads lists is deprecated; pass "
-        "explicit (session, workload) pairs", DeprecationWarning,
-        stacklevel=3)
-    if executor is None:
-        raise TypeError("an executor callable is required")
-    sessions = list(sessions)
-    workloads = list(workloads)
-    if len(sessions) != len(workloads):
-        raise ValueError(
-            f"one workload generator per session is required "
-            f"(got {len(sessions)} sessions, {len(workloads)} workloads)")
-    return list(zip(sessions, workloads)), executor
+def _checked_pairs(pairs: Sequence[Any]) -> List[Pair]:
+    """Validate the driver's ``(session, workload)`` pairs."""
+    checked: List[Pair] = []
+    for index, item in enumerate(pairs):
+        try:
+            session, workload = item
+        except (TypeError, ValueError):
+            raise TypeError(
+                f"item {index} is not a (session, workload) pair: "
+                f"{item!r}; drivers take explicit pairs "
+                f"(zip your sessions and workload generators)") from None
+        checked.append((session, workload))
+    return checked
 
 
 def _next_item(workload):
@@ -104,9 +70,8 @@ def _item_category(spec) -> str:
 class ClosedLoopDriver:
     """Runs ``count``-or-``duration``-bounded closed loops on a set of sessions."""
 
-    def __init__(self, env, sessions: Sequence[Any],
-                 workloads: Optional[Sequence[Any]] = None,
-                 executor: Optional[Callable[[Any, Any], Any]] = None,
+    def __init__(self, env, pairs: Sequence[Pair],
+                 executor: Callable[[Any, Any], Any],
                  duration_ms: Optional[float] = None,
                  operations_per_client: Optional[int] = None,
                  think_time_ms: float = 0.0,
@@ -114,7 +79,8 @@ class ClosedLoopDriver:
         if duration_ms is None and operations_per_client is None:
             raise ValueError("specify duration_ms or operations_per_client")
         self.env = env
-        self.pairs, self.executor = _resolve_pairs(sessions, workloads, executor)
+        self.pairs = _checked_pairs(pairs)
+        self.executor = executor
         self.duration_ms = duration_ms
         self.operations_per_client = operations_per_client
         self.think_time_ms = think_time_ms
@@ -168,9 +134,8 @@ class PartlyOpenDriver:
     its own causal context — a fresh ``t_min`` on Spanner).
     """
 
-    def __init__(self, env, sessions: Sequence[Any],
-                 workloads: Optional[Sequence[Any]] = None,
-                 executor: Optional[Callable[[Any, Any], Any]] = None,
+    def __init__(self, env, pairs: Sequence[Pair],
+                 executor: Callable[[Any, Any], Any],
                  arrival_rate_per_client: Optional[float] = None,
                  duration_ms: Optional[float] = None,
                  continue_probability: float = 0.9,
@@ -181,7 +146,8 @@ class PartlyOpenDriver:
             raise TypeError(
                 "arrival_rate_per_client and duration_ms are required")
         self.env = env
-        self.pairs, self.executor = _resolve_pairs(sessions, workloads, executor)
+        self.pairs = _checked_pairs(pairs)
+        self.executor = executor
         self.arrival_rate = arrival_rate_per_client
         self.duration_ms = duration_ms
         self.continue_probability = continue_probability
@@ -249,9 +215,8 @@ class OpenLoopDriver:
     means the system (or the session pool) saturated.
     """
 
-    def __init__(self, env, sessions: Sequence[Any],
-                 workloads: Optional[Sequence[Any]] = None,
-                 executor: Optional[Callable[[Any, Any], Any]] = None,
+    def __init__(self, env, pairs: Sequence[Pair],
+                 executor: Callable[[Any, Any], Any],
                  rate_per_s: Optional[float] = None,
                  duration_ms: Optional[float] = None,
                  arrival: str = "poisson",
@@ -266,7 +231,8 @@ class OpenLoopDriver:
             raise ValueError(f"unknown arrival schedule {arrival!r} "
                              f"(poisson or fixed)")
         self.env = env
-        self.pairs, self.executor = _resolve_pairs(sessions, workloads, executor)
+        self.pairs = _checked_pairs(pairs)
+        self.executor = executor
         if not self.pairs:
             raise ValueError("at least one (session, workload) pair is required")
         self.rate_per_s = rate_per_s

@@ -172,13 +172,6 @@ def test_photo_sharing_view_album_empty():
     assert views == [{}]
 
 
-def test_photo_sharing_accepts_raw_cluster_with_deprecation():
-    cluster = SpannerCluster(SpannerConfig(variant=Variant.SPANNER_RSS))
-    with pytest.warns(DeprecationWarning, match="open_store"):
-        app = PhotoSharingApp(cluster)
-    assert app.store.cluster is cluster
-
-
 def test_photo_sharing_rejects_unsuitable_stores():
     from repro.api import UnsupportedOperationError, open_store
 

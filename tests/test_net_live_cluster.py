@@ -15,7 +15,12 @@ from repro.net.cluster import LiveProcess, serve_forever
 from repro.net.load import run_load
 from repro.net.recorder import read_trace
 from repro.net.spec import ClusterSpec
-from repro.net.wire import WireError, encode_frame, message_to_frame, read_frame
+from repro.net.wire import (
+    FrameDecoder,
+    WireError,
+    encode_frame,
+    message_to_frame,
+)
 from repro.sim.network import Message
 
 
@@ -24,41 +29,28 @@ from repro.sim.network import Message
 # --------------------------------------------------------------------------- #
 class TestWireCodec:
     def test_frame_round_trip(self):
-        async def scenario():
-            message = Message(src="a", dst="b", kind="read1",
-                              payload={"key": "x", "carstamp": (1, 0, "w")},
-                              send_time=12.5, msg_id=3)
-            frame = encode_frame(message_to_frame(message))
-            reader = asyncio.StreamReader()
-            reader.feed_data(frame)
-            reader.feed_eof()
-            record = await read_frame(reader)
-            assert record["src"] == "a" and record["kind"] == "read1"
-            assert record["payload"]["carstamp"] == [1, 0, "w"]
-            assert await read_frame(reader) is None   # clean EOF
+        message = Message(src="a", dst="b", kind="read1",
+                          payload={"key": "x", "carstamp": (1, 0, "w")},
+                          send_time=12.5, msg_id=3)
+        decoder = FrameDecoder()
+        (record,) = decoder.feed(encode_frame(message_to_frame(message)))
+        assert record["src"] == "a" and record["kind"] == "read1"
+        assert record["payload"]["carstamp"] == [1, 0, "w"]
+        # Clean EOF: the stream ends at a frame boundary, nothing buffered.
+        assert decoder.pending_bytes == 0
 
-        asyncio.run(scenario())
-
-    def test_truncated_frame_raises(self):
-        async def scenario():
-            frame = encode_frame({"v": 1})
-            reader = asyncio.StreamReader()
-            reader.feed_data(frame[:-2])
-            reader.feed_eof()
-            with pytest.raises(WireError):
-                await read_frame(reader)
-
-        asyncio.run(scenario())
+    def test_truncated_frame_is_left_pending(self):
+        """EOF two bytes short of a frame: no record surfaces and the
+        leftover bytes are what the transport reports as a mid-frame
+        close."""
+        frame = encode_frame({"v": 1})
+        decoder = FrameDecoder()
+        assert decoder.feed(frame[:-2]) == []
+        assert decoder.pending_bytes == len(frame) - 2
 
     def test_oversized_frame_rejected(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            reader.feed_data(b"\xff\xff\xff\xff")
-            reader.feed_eof()
-            with pytest.raises(WireError):
-                await read_frame(reader)
-
-        asyncio.run(scenario())
+        with pytest.raises(WireError):
+            FrameDecoder().feed(b"\xff\xff\xff\xff")
 
 
 # --------------------------------------------------------------------------- #

@@ -24,53 +24,37 @@ from repro.net.recorder import (
     read_trace,
 )
 from repro.net.spec import ClusterSpec
-from repro.net.wire import FrameDecoder, WireError, encode_frame, read_frame
+from repro.net.wire import FrameDecoder, WireError, encode_frame
 
 
 # --------------------------------------------------------------------------- #
 # Wire codec under fragmentation (slow writers / partial reads)
 # --------------------------------------------------------------------------- #
 class TestWirePartialReads:
-    def test_read_frame_fed_one_byte_at_a_time(self):
+    def test_records_surface_exactly_when_their_last_byte_arrives(self):
         """Audit regression: a slow writer trickling single bytes must not
-        corrupt framing — ``readexactly`` resumes across any split, both
-        inside the length header and inside the body."""
+        corrupt framing — decoding resumes across any split, both inside
+        the length header and inside the body, and each record is handed
+        over by the feed that completes it, not later."""
+        records = [{"v": 1, "kind": "read1", "payload": {"i": i}}
+                   for i in range(3)]
+        frames = [encode_frame(record) for record in records]
+        decoder = FrameDecoder()
+        for record, frame in zip(records, frames):
+            for offset in range(len(frame) - 1):
+                assert decoder.feed(frame[offset:offset + 1]) == []
+            assert decoder.feed(frame[-1:]) == [record]
+        assert decoder.pending_bytes == 0     # clean EOF at a boundary
 
-        async def scenario():
-            records = [{"v": 1, "kind": "read1", "payload": {"i": i}}
-                       for i in range(3)]
-            stream = b"".join(encode_frame(record) for record in records)
-            reader = asyncio.StreamReader()
-
-            async def dribble():
-                for offset in range(len(stream)):
-                    reader.feed_data(stream[offset:offset + 1])
-                    await asyncio.sleep(0)
-                reader.feed_eof()
-
-            feeder = asyncio.ensure_future(dribble())
-            decoded = []
-            while True:
-                record = await read_frame(reader)
-                if record is None:
-                    break
-                decoded.append(record)
-            await feeder
-            assert decoded == records
-
-        asyncio.run(scenario())
-
-    def test_read_frame_eof_inside_header_and_body(self):
-        async def scenario():
-            frame = encode_frame({"v": 1})
-            for cut in (1, 3, len(frame) - 1):
-                reader = asyncio.StreamReader()
-                reader.feed_data(frame[:cut])
-                reader.feed_eof()
-                with pytest.raises(WireError):
-                    await read_frame(reader)
-
-        asyncio.run(scenario())
+    def test_eof_inside_header_and_body_leaves_pending_bytes(self):
+        """A connection that closes mid-frame — inside the length header or
+        inside the body — yields no record; the buffered remainder is what
+        the transport logs and drops the connection on."""
+        frame = encode_frame({"v": 1})
+        for cut in (1, 3, len(frame) - 1):
+            decoder = FrameDecoder()
+            assert decoder.feed(frame[:cut]) == []
+            assert decoder.pending_bytes == cut
 
     def test_frame_decoder_byte_at_a_time(self):
         records = [{"v": 1, "kind": "write2", "payload": {"k": "x" * 50}},

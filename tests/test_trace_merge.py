@@ -1,4 +1,5 @@
-"""Merging several trace streams into one ordered record stream.
+"""Reading traces: one entry point over one path, one rotated set, or
+several traces merged into one ordered record stream.
 
 A fleet run captures one trace per load generator; ``repro load``,
 ``repro live-check``, and ``repro monitor`` accept several trace paths
@@ -15,9 +16,13 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.core.events import Operation, reset_op_ids
 from repro.net.recorder import (
+    TraceWriter,
+    follow_trace_records,
     merge_record_streams,
-    read_merged_traces,
+    read_trace,
+    trace_records,
 )
 
 
@@ -100,13 +105,13 @@ class TestMergedFiles:
             for record in records:
                 handle.write(json.dumps(record) + "\n")
 
-    def test_read_merged_traces(self, tmp_path):
+    def test_read_trace_merges_several_paths(self, tmp_path):
         ta = str(tmp_path / "a.jsonl")
         tb = str(tmp_path / "b.jsonl")
         self._write(ta, [_meta(), _op(1, 0.0, 10.0, "pa", value="va"),
                          _op(2, 20.0, 30.0, "pa", value="va2")])
         self._write(tb, [_meta(), _op(1, 12.0, 15.0, "pb", value="vb")])
-        meta, history = read_merged_traces([ta, tb])
+        meta, history = read_trace([ta, tb])
         assert meta["protocol"] == "gryff-rsc"
         assert meta["merged_streams"] == 2
         assert len(history) == 3
@@ -136,3 +141,87 @@ class TestMergedFiles:
         assert report.exit_code == 0
         assert report.ops_checked == 2
         assert report.trace == f"{ta},{tb}"
+
+
+class TestSingleReaderEntryPoint:
+    """``trace_records`` hides the single-vs-merged reader choice: one
+    source is followed as written, several are merged."""
+
+    def _write_set(self, base, ops=12, rotate_bytes=None, process="P1"):
+        reset_op_ids()
+        writer = TraceWriter(base, meta={"protocol": "gryff-rsc"},
+                             rotate_bytes=rotate_bytes)
+        for i in range(ops):
+            writer.record_invocation(process, 2.0 * i)
+            writer.record_op(Operation.write(
+                process, "x", f"{process}-{i}", invoked_at=2.0 * i,
+                responded_at=2.0 * i + 1.0, carstamp=(i + 1, 0, process)))
+        writer.close()
+
+    def test_one_path_passes_through_unmodified(self, tmp_path):
+        path = str(tmp_path / "one.jsonl")
+        self._write_set(path)
+        with open(path) as handle:
+            written = [json.loads(line) for line in handle]
+        assert list(trace_records(path, idle_timeout=0)) == written
+        assert list(trace_records([path], idle_timeout=0)) == written
+        ids = [r["op_id"] for r in written if r["type"] == "op"]
+        assert ids and all(isinstance(op_id, int) for op_id in ids)
+
+    def test_one_rotated_set_keeps_every_file_header(self, tmp_path):
+        base = str(tmp_path / "rot.jsonl")
+        self._write_set(base, ops=30, rotate_bytes=600)
+        records = list(trace_records(base, idle_timeout=0))
+        assert records == list(follow_trace_records(base, idle_timeout=0))
+        headers = [r for r in records if r["type"] == "meta"]
+        assert len(headers) > 2                  # one per file, not merged
+        assert "merged_streams" not in headers[0]
+        assert all(isinstance(r["op_id"], int)
+                   for r in records if r["type"] == "op")
+
+    def test_two_traces_are_merged_and_qualified(self, tmp_path):
+        ta, tb = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
+        self._write_set(ta, ops=3, process="PA")
+        self._write_set(tb, ops=3, process="PB")
+        records = list(trace_records([ta, tb], idle_timeout=0))
+        assert [r["type"] for r in records].count("meta") == 1
+        assert records[0]["merged_streams"] == 2
+        ids = {r["op_id"] for r in records if r["type"] == "op"}
+        assert ids == {f"t{s}:{i}" for s in (0, 1) for i in (1, 2, 3)}
+
+    def test_read_trace_accepts_every_source_kind(self, tmp_path):
+        one = str(tmp_path / "one.jsonl")
+        rot = str(tmp_path / "rot.jsonl")
+        self._write_set(one, ops=4)
+        self._write_set(rot, ops=30, rotate_bytes=600)
+        for source, ops in ((one, 4), (rot, 30), ([one, rot], 34)):
+            meta, history = read_trace(source)
+            assert meta["protocol"] == "gryff-rsc"
+            assert len(history) == ops
+        with open(one) as handle:
+            assert len(read_trace(handle)[1]) == 4
+
+    def test_read_trace_refuses_a_missing_path(self, tmp_path):
+        one = str(tmp_path / "one.jsonl")
+        self._write_set(one, ops=2)
+        missing = str(tmp_path / "missing.jsonl")
+        with pytest.raises(FileNotFoundError):
+            read_trace(missing)
+        with pytest.raises(FileNotFoundError):
+            read_trace([one, missing])
+
+    def test_monitor_counts_on_a_rotated_set_are_unchanged(self, tmp_path):
+        """Every line of every file is one record (per-file headers
+        included); every op line is one checked operation."""
+        from repro.core.history import resolve_jsonl_paths
+        from repro.obs.monitor import run_monitor
+
+        base = str(tmp_path / "rot.jsonl")
+        self._write_set(base, ops=30, rotate_bytes=600)
+        lines = [json.loads(line) for path in resolve_jsonl_paths(base)
+                 for line in open(path)]
+        report = run_monitor(base, idle_timeout=0, min_epoch_ops=4)
+        assert report.exit_code == 0
+        assert report.records == len(lines)
+        assert report.ops_checked == 30 == sum(
+            1 for record in lines if record["type"] == "op")

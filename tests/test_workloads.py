@@ -273,31 +273,6 @@ def test_partly_open_driver_requires_rate_and_duration():
                          arrival_rate_per_client=0.1)
 
 
-def test_drivers_accept_legacy_lists_with_deprecation():
-    env = Environment()
-    clients = [FakeClient("a"), FakeClient("b")]
-    workloads = [FakeWorkload(), FakeWorkload()]
-    with pytest.warns(DeprecationWarning, match="pairs"):
-        driver = ClosedLoopDriver(env, clients, workloads, make_executor(env),
-                                  operations_per_client=3)
-    driver.start()
-    env.run()
-    assert all(len(c.executed) == 3 for c in clients)
-
-
-def test_legacy_lists_length_mismatch_is_a_clear_error():
-    env = Environment()
-    with pytest.warns(DeprecationWarning), \
-            pytest.raises(ValueError, match="one workload generator per"):
-        ClosedLoopDriver(env, [FakeClient("a")], [], make_executor(env),
-                         duration_ms=10)
-    with pytest.warns(DeprecationWarning), \
-            pytest.raises(ValueError, match="2 sessions, 1 workloads"):
-        PartlyOpenDriver(env, [FakeClient("a"), FakeClient("b")],
-                         [FakeWorkload()], make_executor(env),
-                         arrival_rate_per_client=0.1, duration_ms=10)
-
-
 def test_partly_open_driver_sessions_and_resets():
     env = Environment()
     clients = [FakeClient("a"), FakeClient("b")]
