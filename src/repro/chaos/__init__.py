@@ -8,17 +8,15 @@ checker-verified guarantees.
 * :mod:`repro.chaos.scenarios` — the named catalog
   (``python -m repro chaos --list``).
 * :mod:`repro.chaos.engine` — :func:`run_scenario`: the same scenario
-  against the simulated or the live cluster, with WAL-backed crash
-  recovery, leader failover, and streaming-checker verdicts.
-* :mod:`repro.chaos.reshard` — :func:`run_reshard_crash`: kill the
-  fleet's migration controller mid-copy and recover from its journal.
+  against the simulated or the live cluster (a multi-group fleet included),
+  with WAL-backed crash recovery, leader failover, migration-controller
+  recovery, and streaming-checker verdicts.
 """
 
 from repro.chaos.faults import Fate, FaultController
 from repro.chaos.scenario import FaultEvent, Scenario
 from repro.chaos.scenarios import all_scenarios, get_scenario, scenario_names
 from repro.chaos.engine import ChaosReport, NodeRecovery, run_scenario
-from repro.chaos.reshard import ReshardReport, run_reshard_crash
 
 __all__ = [
     "Fate",
@@ -27,9 +25,7 @@ __all__ = [
     "Scenario",
     "ChaosReport",
     "NodeRecovery",
-    "ReshardReport",
     "run_scenario",
-    "run_reshard_crash",
     "all_scenarios",
     "get_scenario",
     "scenario_names",

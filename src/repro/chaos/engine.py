@@ -1,51 +1,68 @@
 """The chaos engine: run a :class:`~repro.chaos.scenario.Scenario` against a
 simulated or live cluster and verify the declared guarantees held.
 
-One scenario, two backends, one oracle:
+One scenario, one runner, one nemesis, one oracle; only what differs between
+the two backends lives in a backend object:
 
 * **sim** — a :class:`~repro.gryff.cluster.GryffCluster` /
   :class:`~repro.spanner.cluster.SpannerCluster` with a
   :class:`~repro.chaos.faults.FaultController` on its network and per-node
-  write-ahead logs; the nemesis is a simulation process stepping the event
-  timeline.
+  write-ahead logs.
 * **live** — one :class:`~repro.net.cluster.LiveProcess` per server node
-  over real asyncio TCP (ephemeral ports, shared cluster spec), a
-  :class:`~repro.api.store.LiveStore` of clients, and an async nemesis task.
+  over real asyncio TCP (ephemeral ports, shared cluster spec) and a
+  :class:`~repro.api.store.LiveStore` of clients — a fleet store over
+  several shard groups when the scenario asks for them.
 
 Either way the load is the same YCSB workload through the unified
-:mod:`repro.api` surface, the history streams through the existing
+:mod:`repro.api` surface, the nemesis is the same env process stepping the
+event timeline (:class:`~repro.net.realtime.RealtimeEnvironment` runs the
+simulator's generators), the history streams through the
 :class:`~repro.net.recorder.TraceWriter` pipeline, and the verdict comes
 from the streaming checker: every epoch the declared consistency level holds,
 or the violating epoch overlaps a declared fault window.  Crashed nodes'
 stuck operations are closed as ``abandon`` records by a per-operation
-timeout, and each restarted node's recovered state is compared against the
-exact durable state it crashed with.
+timeout, and every crashable unit — replica, shard leader, migration
+controller — answers to one oracle (:class:`NodeRecovery`): what it recovers
+must equal the exact durable state it crashed with.
 """
 
 from __future__ import annotations
 
 import asyncio
-import tempfile
+import contextlib
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
+from functools import partial
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.api import open_store, ycsb_executor
+from repro.api import open_store
 from repro.api.levels import negotiate
 from repro.chaos.faults import FaultController
 from repro.chaos.scenario import FaultEvent, Scenario
 from repro.core.events import Operation
 from repro.core.history import History
+from repro.fleet import migration
+from repro.fleet.spec import FleetSpec
+from repro.gryff.cluster import GryffCluster
+from repro.gryff.config import GryffConfig, GryffVariant
+from repro.net.check import TraceCheck
+from repro.net.cluster import LiveProcess
+from repro.net.load import build_pairs_and_executor, build_sessions
 from repro.net.recorder import RecordingHistory, TraceWriter
+from repro.net.spec import GRYFF_PROTOCOLS, SPANNER_PROTOCOLS, ClusterSpec
+from repro.obs import instrument as obs
+from repro.sim.clock import TrueTime
 from repro.sim.stats import LatencyRecorder
+from repro.spanner.cluster import SpannerCluster, augment_with_server_commits
+from repro.spanner.config import SpannerConfig, Variant
+from repro.spanner.replication import LeaderLease
 from repro.workloads.clients import ClosedLoopDriver
-from repro.workloads.ycsb import YcsbWorkload
 
 __all__ = ["NodeRecovery", "ChaosReport", "run_scenario",
            "augment_gryff_with_server_installs"]
-
-GRYFF_PROTOCOLS = ("gryff", "gryff-rsc")
-SPANNER_PROTOCOLS = ("spanner", "spanner-rss")
 
 
 # --------------------------------------------------------------------------- #
@@ -87,16 +104,12 @@ class ChaosReport:
     trace_path: Optional[str] = None
 
     @property
-    def recovered_cleanly(self) -> bool:
-        return all(r.matches for r in self.recoveries)
-
-    @property
     def ok(self) -> bool:
         """The scenario's guarantee: load actually ran, every restarted node
         recovered its exact pre-crash durable state, and the only consistency
         violations (if any) fall inside declared fault windows — none at all
         for ``expect_clean`` scenarios."""
-        if self.ops == 0 or not self.recovered_cleanly:
+        if self.ops == 0 or not all(r.matches for r in self.recoveries):
             return False
         if self.expect_clean:
             return self.satisfied
@@ -232,8 +245,6 @@ def _augmented_history(protocol: str, history: History, nodes,
                        invoked_at: float) -> History:
     if protocol in GRYFF_PROTOCOLS:
         return augment_gryff_with_server_installs(history, invoked_at)
-    from repro.spanner.cluster import augment_with_server_commits
-
     return augment_with_server_commits(history, nodes, invoked_at=invoked_at)
 
 
@@ -242,8 +253,6 @@ def _augmented_history(protocol: str, history: History, nodes,
 # --------------------------------------------------------------------------- #
 def _check_and_judge(report: ChaosReport, scenario: Scenario,
                      augmented: History, run_start: float) -> None:
-    from repro.net.check import TraceCheck
-
     checked = TraceCheck(
         report.protocol, report.model, min_epoch_ops=8,
         fault_windows=scenario.fault_windows(),
@@ -257,10 +266,11 @@ def _check_and_judge(report: ChaosReport, scenario: Scenario,
 
 
 # --------------------------------------------------------------------------- #
-# Load plumbing shared by both backends
+# Load plumbing
 # --------------------------------------------------------------------------- #
-def _timeout_executor(env, op_timeout_ms: float, counter: List[int]):
-    """Wrap the YCSB executor with a client-side operation timeout.
+def _timeout_executor(env, executor, op_timeout_ms: float,
+                      counter: List[int]):
+    """Wrap ``executor`` with a client-side operation timeout.
 
     An operation stuck past the timeout (its server crashed or is
     partitioned away) is interrupted and announced as abandoned — the
@@ -268,7 +278,7 @@ def _timeout_executor(env, op_timeout_ms: float, counter: List[int]):
     what a real client with a request deadline does.
     """
     def run(session, spec):
-        proc = env.process(ycsb_executor(session, spec))
+        proc = env.process(executor(session, spec))
         yield env.any_of([proc, env.timeout(op_timeout_ms)])
         if proc.is_alive:
             proc.interrupt()
@@ -278,377 +288,402 @@ def _timeout_executor(env, op_timeout_ms: float, counter: List[int]):
     return run
 
 
-def _build_sessions(store, scenario: Scenario, sites: List[str]):
-    sessions = []
-    for index in range(scenario.num_clients):
-        site = sites[index % len(sites)]
-        sessions.append(store.session(
-            site=site, name=f"chaos{index + 1}@{site}",
-            level=scenario.level))
-    return sessions
-
-
-def _build_pairs(sessions, scenario: Scenario):
-    return [
-        (session, YcsbWorkload(client_id=session.name,
-                               write_ratio=scenario.write_ratio,
-                               conflict_rate=scenario.conflict_rate,
-                               seed=scenario.seed * 1000 + index))
-        for index, session in enumerate(sessions)
-    ]
-
-
-def _trace_writer(path: str, scenario: Scenario, backend: str,
-                  model: str) -> TraceWriter:
-    return TraceWriter(path, meta={
-        "protocol": scenario.protocol,
-        "level": negotiate(scenario.protocol, scenario.level).value,
-        "scenario": scenario.name,
-        "backend": backend,
-        "model": model,
-    }, fsync=False)
-
-
 def _resolve_groups(groups, session_names: List[str]) -> List[List[str]]:
-    resolved = []
-    for group in groups:
-        members: List[str] = []
-        for name in group:
-            if name == "@clients":
-                members.extend(session_names)
-            else:
-                members.append(name)
-        resolved.append(members)
-    return resolved
+    """Expand the ``"@clients"`` placeholder to every session name."""
+    return [[member for name in group
+             for member in (session_names if name == "@clients" else [name])]
+            for group in groups]
 
 
-def _apply_rule_event(controller: FaultController, event: FaultEvent,
-                      session_names: List[str]) -> None:
-    """Partition / drop / delay / clear_rules — identical on both backends."""
-    args = event.args
-    if event.action == "partition":
-        controller.partition(*_resolve_groups(args["groups"], session_names))
-    elif event.action == "heal":
-        controller.heal()
-    elif event.action == "drop":
-        controller.drop_matching(src=args.get("src"), dst=args.get("dst"),
-                                 kinds=args.get("kinds"),
-                                 probability=args.get("probability", 1.0))
-    elif event.action == "delay":
-        controller.delay_matching(args.get("extra_ms", 20.0),
-                                  src=args.get("src"), dst=args.get("dst"),
-                                  kinds=args.get("kinds"),
-                                  jitter_ms=args.get("jitter_ms", 0.0),
-                                  reorder=args.get("reorder", True),
-                                  probability=args.get("probability", 1.0))
-    elif event.action == "clear_rules":
-        controller.clear_rules()
-
-
-def _first_window_start(scenario: Scenario) -> float:
-    windows = scenario.fault_windows()
-    return windows[0][0] if windows else 0.0
-
-
-# --------------------------------------------------------------------------- #
-# Simulated backend
-# --------------------------------------------------------------------------- #
-def _run_sim(scenario: Scenario, trace_dir: str,
-             metrics: Optional[Any] = None) -> ChaosReport:
-    protocol = scenario.protocol
-    model = negotiate(protocol, scenario.level).checker_model
-    report = ChaosReport(scenario=scenario.name, backend="sim",
-                         protocol=protocol, model=model,
-                         expect_clean=scenario.expect_clean)
+def _reset_durable_state(trace_dir: str) -> str:
+    """Start from empty durable state; returns the WAL directory.  Only what
+    the engine itself writes goes — ``wal/`` (node WALs, checkpoints, the
+    migration journal) and ``trace.jsonl`` — never a caller's other files."""
     wal_dir = os.path.join(trace_dir, "wal")
-    os.makedirs(wal_dir, exist_ok=True)
-
-    leases: Dict[str, Any] = {}
-    if protocol in GRYFF_PROTOCOLS:
-        from repro.gryff.cluster import GryffCluster
-        from repro.gryff.config import GryffConfig, GryffVariant
-
-        sites = ["CA", "VA", "IR", "OR", "JP"][:scenario.num_servers]
-        variant = (GryffVariant.GRYFF if protocol == "gryff"
-                   else GryffVariant.GRYFF_RSC)
-        cluster = GryffCluster(GryffConfig(variant=variant, sites=sites,
-                                           seed=scenario.seed),
-                               wal_dir=wal_dir)
-    else:
-        from repro.spanner.cluster import SpannerCluster
-        from repro.spanner.config import SpannerConfig, Variant
-        from repro.spanner.replication import LeaderLease
-
-        variant = (Variant.SPANNER if protocol == "spanner"
-                   else Variant.SPANNER_RSS)
-        config = SpannerConfig(variant=variant,
-                               num_shards=scenario.num_servers,
-                               seed=scenario.seed)
-        leases = {config.shard_name(i): LeaderLease(scenario.lease_ms)
-                  for i in range(scenario.num_servers)}
-        cluster = SpannerCluster(config, wal_dir=wal_dir, leases=leases)
-
-    controller = FaultController(seed=scenario.seed)
-    cluster.network.faults = controller
-    trace_path = os.path.join(trace_dir, "trace.jsonl")
-    writer = _trace_writer(trace_path, scenario, "sim", model)
-    cluster.history = RecordingHistory(writer)
-    report.trace_path = trace_path
-
-    store = open_store(cluster)
-    sites = list(cluster.config.sites)
-    sessions = _build_sessions(store, scenario, sites)
-    session_names = [session.name for session in sessions]
-    abandoned = [0]
-    driver = ClosedLoopDriver(
-        cluster.env, _build_pairs(sessions, scenario),
-        executor=_timeout_executor(cluster.env, scenario.op_timeout_ms,
-                                   abandoned),
-        duration_ms=scenario.duration_ms,
-        think_time_ms=scenario.think_time_ms)
-
-    def node_map():
-        return (cluster.replicas if protocol in GRYFF_PROTOCOLS
-                else cluster.shards)
-
-    if metrics is not None:
-        from repro.obs.instrument import (
-            instrument_fault_controller,
-            instrument_node,
-        )
-
-        instrument_fault_controller(metrics, controller)
-        # Getters read through node_map so crash/restart replacements are
-        # followed at the next scrape.
-        for node_name in list(node_map()):
-            instrument_node(metrics, node_name,
-                            (lambda n: lambda: node_map()[n])(node_name))
-
-    snapshots: Dict[str, Dict[str, Any]] = {}
-
-    def nemesis():
-        start = cluster.env.now
-        for event in scenario.sorted_events():
-            wait = start + event.at_ms - cluster.env.now
-            if wait > 0:
-                yield cluster.env.timeout(wait)
-            if event.action == "crash":
-                snapshots[event.target] = _node_snapshot(
-                    node_map()[event.target])
-                if protocol in GRYFF_PROTOCOLS:
-                    cluster.crash_replica(event.target)
-                else:
-                    cluster.crash_shard(event.target)
-                controller.isolate(event.target)
-            elif event.action == "restart":
-                if protocol in GRYFF_PROTOCOLS:
-                    node = cluster.restart_replica(event.target)
-                else:
-                    node = cluster.restart_shard(event.target)
-                controller.restore(event.target)
-                report.recoveries.append(_compare_recovery(
-                    event.target, snapshots.pop(event.target, {}), node))
-            elif event.action == "skew":
-                from repro.sim.clock import TrueTime
-
-                shard = cluster.shards[event.target]
-                skewed = TrueTime(cluster.env,
-                                  epsilon=cluster.truetime.epsilon)
-                skewed.offset_ms = event.args.get("offset_ms", 0.0)
-                shard.truetime = skewed
-            elif event.action == "epsilon":
-                cluster.truetime.epsilon = event.args["epsilon_ms"]
-                for shard in cluster.shards.values():
-                    shard.truetime.epsilon = event.args["epsilon_ms"]
-            else:
-                _apply_rule_event(controller, event, session_names)
-
-    cluster.env.process(nemesis())
-    driver.start()
-    cluster.env.run()
-    writer.close()
-
-    report.abandoned = abandoned[0]
-    report.fault_counters = controller.counters()
-    if leases:
-        report.lease_transitions = {
-            name: list(lease.transitions) for name, lease in leases.items()
-            if lease.transitions}
-    history = (cluster.kv_history() if hasattr(cluster, "kv_history")
-               else cluster.history)
-    augmented = _augmented_history(
-        protocol, history,
-        node_map().values(), invoked_at=_first_window_start(scenario))
-    report.reconstructed = len(augmented) - len(history)
-    _check_and_judge(report, scenario, augmented, run_start=0.0)
-    return report
+    shutil.rmtree(wal_dir, ignore_errors=True)
+    os.makedirs(wal_dir)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(trace_dir, "trace.jsonl"))
+    return wal_dir
 
 
 # --------------------------------------------------------------------------- #
-# Live backend
+# The migration controller as one more crashable unit
 # --------------------------------------------------------------------------- #
-async def _run_live_async(scenario: Scenario, trace_dir: str,
-                          metrics: Optional[Any] = None) -> ChaosReport:
-    from repro.net.cluster import LiveProcess
-    from repro.net.spec import ClusterSpec
+class _MigrationUnit:
+    """``migrate`` starts a :class:`~repro.fleet.migration.
+    MigrationController` under the load (dying at ``crash_phase`` if asked);
+    ``recover_controller`` replays its journal, which must give back the
+    durable placement the clients route by — a restarted node's oracle."""
 
-    protocol = scenario.protocol
-    model = negotiate(protocol, scenario.level).checker_model
-    report = ChaosReport(scenario=scenario.name, backend="live",
-                         protocol=protocol, model=model,
-                         expect_clean=scenario.expect_clean)
-    wal_dir = os.path.join(trace_dir, "wal")
-    os.makedirs(wal_dir, exist_ok=True)
+    NAME = "migration-controller"
 
-    if protocol in GRYFF_PROTOCOLS:
-        spec = ClusterSpec.gryff(num_replicas=scenario.num_servers,
-                                 variant=protocol,
-                                 params={"seed": scenario.seed})
-    else:
-        spec = ClusterSpec.spanner(num_shards=scenario.num_servers,
-                                   variant=protocol,
-                                   params={"seed": scenario.seed})
-    for node in spec.nodes.values():
-        node.port = 0   # ephemeral; propagated into the shared spec on bind
+    def __init__(self, store, wal_dir: str):
+        self.store = store      # a FleetStore: placement, tracker, fleet
+        self.journal_path = os.path.join(wal_dir, f"{self.NAME}.wal")
+        self._initial = store.placement.copy()
+        #: One env process per ``migrate`` event.
+        self.procs: List[Any] = []
 
-    controller = FaultController(seed=scenario.seed)
-    leases: Dict[str, Any] = {}
-    if protocol in SPANNER_PROTOCOLS:
-        from repro.spanner.replication import LeaderLease
+    def migrate(self, event: FaultEvent) -> None:
+        plan = migration.MigrationPlan.parse(
+            f"{event.at_ms:g}:{event.args['plan']}")
+        controller = migration.MigrationController(
+            self.store.fleet, self.store, journal_path=self.journal_path,
+            crash_phase=event.args.get("crash_phase"))
 
-        leases = {name: LeaderLease(scenario.lease_ms)
-                  for name in spec.server_names()}
+        def run():
+            try:
+                yield from controller.run_one(plan)
+            except migration.ControllerCrashed:
+                # The in-process stand-in for kill -9: the journal is
+                # closed and the transient freeze/mirror marks (process
+                # state) die with the controller; the load keeps running.
+                self.store.placement.clear_transient()
+            finally:
+                controller.close()
+                # Free its admin endpoint's name for the next controller
+                # (the live transport has no deregister() of its own).
+                self.store.process.transport._local.pop(
+                    controller.admin.name, None)
 
-    procs: Dict[str, LiveProcess] = {}
-    for name in spec.server_names():
-        proc = LiveProcess(spec, host_nodes=[name], wal_dir=wal_dir,
-                           leases=leases, faults=controller)
-        await proc.start()
-        procs[name] = proc
+        self.procs.append(self.store.env.process(run()))
 
-    trace_path = os.path.join(trace_dir, "trace.jsonl")
-    writer = _trace_writer(trace_path, scenario, "live", model)
-    history = RecordingHistory(writer)
-    report.trace_path = trace_path
-    store = open_store(spec, history=history, recorder=LatencyRecorder())
-    store.process.transport.faults = controller
-    if metrics is not None:
-        from repro.obs.instrument import (
-            instrument_fault_controller,
-            instrument_process,
-            instrument_transport,
-        )
+    def recovery(self, unfinished: bool) -> NodeRecovery:
+        """Replay the journal: it must give the live placement (pre-flip
+        until ``flipped`` is durable), with a migration pending or not as
+        the caller expects."""
+        placement, pending = migration.recover_placement(self.journal_path,
+                                                         self._initial)
+        live = self.store.placement
+        return NodeRecovery(
+            node=self.NAME,
+            matches=(placement.to_dict() == live.to_dict()
+                     and (pending is not None) == unfinished),
+            detail=f"journal epoch {placement.version}, live epoch "
+                   f"{live.version}, {pending or 'nothing'} unfinished")
 
-        instrument_fault_controller(metrics, controller)
-        # Getters read through the procs table so the fresh LiveProcess a
-        # restart installs is followed at the next scrape.
-        for node_name in list(procs):
-            instrument_process(metrics,
-                               (lambda n: lambda: procs[n])(node_name),
-                               label=node_name)
-        instrument_transport(metrics, store.process.transport,
-                             node="clients")
-    sessions = _build_sessions(store, scenario, spec.sites())
-    session_names = [session.name for session in sessions]
-    abandoned = [0]
-    driver = ClosedLoopDriver(
-        store.env, _build_pairs(sessions, scenario),
-        executor=_timeout_executor(store.env, scenario.op_timeout_ms,
-                                   abandoned),
-        duration_ms=scenario.duration_ms,
-        think_time_ms=scenario.think_time_ms)
 
-    snapshots: Dict[str, Dict[str, Any]] = {}
+# --------------------------------------------------------------------------- #
+# The two backends: everything that differs between sim and live
+# --------------------------------------------------------------------------- #
+class _SimBackend:
+    """A simulated cluster on the discrete-event kernel.  Faults are
+    synchronous pokes at it, so ``crash``/``restart`` wait on nothing."""
 
-    async def nemesis(run_start: float):
-        loop_start = asyncio.get_running_loop().time()
-        for event in scenario.sorted_events():
-            wait = event.at_ms / 1000.0 - (
-                asyncio.get_running_loop().time() - loop_start)
-            if wait > 0:
-                await asyncio.sleep(wait)
-            if event.action == "crash":
-                proc = procs[event.target]
-                snapshots[event.target] = _node_snapshot(
-                    proc.nodes[event.target])
-                proc.close_wals()
-                await proc.stop()
-                controller.isolate(event.target)
-            elif event.action == "restart":
-                proc = LiveProcess(spec, host_nodes=[event.target],
-                                   wal_dir=wal_dir, leases=leases,
-                                   faults=controller)
-                await proc.start()
-                procs[event.target] = proc
-                controller.restore(event.target)
-                report.recoveries.append(_compare_recovery(
-                    event.target, snapshots.pop(event.target, {}),
-                    proc.nodes[event.target]))
-            elif event.action == "skew":
-                procs[event.target].truetime.offset_ms = (
-                    event.args.get("offset_ms", 0.0))
-            elif event.action == "epsilon":
-                for proc in procs.values():
-                    if proc.truetime is not None:
-                        proc.truetime.epsilon = event.args["epsilon_ms"]
-                if store._truetime is not None:
-                    store._truetime.epsilon = event.args["epsilon_ms"]
-            else:
-                _apply_rule_event(controller, event, session_names)
+    migrations = None   # fleets exist only live (``Scenario.backends``)
 
-    await store.start()
-    run_start = store.env.now
-    nemesis_task = asyncio.ensure_future(nemesis(run_start))
-    try:
-        await store.drive(driver)
-        await nemesis_task
-    finally:
-        nemesis_task.cancel()
-        await store.stop()
-        for proc in procs.values():
+    def __init__(self, scenario: Scenario, wal_dir: str,
+                 controller: FaultController):
+        self.leases: Dict[str, LeaderLease] = {}
+        if scenario.protocol in GRYFF_PROTOCOLS:
+            cluster = GryffCluster(GryffConfig(
+                variant=GryffVariant(scenario.protocol), seed=scenario.seed,
+                sites=["CA", "VA", "IR", "OR", "JP"][:scenario.num_servers]),
+                wal_dir=wal_dir)
+            #: Name -> current node; the cluster swaps restarted nodes in.
+            self.nodes = cluster.replicas
+            self._crash, self._restart = (cluster.crash_replica,
+                                          cluster.restart_replica)
+        else:
+            config = SpannerConfig(variant=Variant(scenario.protocol),
+                                   num_shards=scenario.num_servers,
+                                   seed=scenario.seed)
+            self.leases = {config.shard_name(i): LeaderLease(scenario.lease_ms)
+                           for i in range(scenario.num_servers)}
+            cluster = SpannerCluster(config, wal_dir=wal_dir,
+                                     leases=self.leases)
+            self.nodes = cluster.shards
+            self._crash, self._restart = (cluster.crash_shard,
+                                          cluster.restart_shard)
+        cluster.network.faults = controller
+        self.cluster = cluster
+        self.sites = list(cluster.config.sites)
+
+    async def open(self, history: History):
+        self.cluster.history = history
+        return open_store(self.cluster)
+
+    def instrument(self, metrics) -> None:
+        for name in list(self.nodes):
+            obs.instrument_node(metrics, name,
+                                partial(self.nodes.__getitem__, name))
+
+    def crash(self, name: str):
+        self._crash(name)
+        return ()
+
+    def restart(self, name: str):
+        self._restart(name)
+        return ()
+
+    def set_skew(self, name: str, offset_ms: float) -> None:
+        skewed = TrueTime(self.cluster.env,
+                          epsilon=self.cluster.truetime.epsilon)
+        skewed.offset_ms = offset_ms
+        self.nodes[name].truetime = skewed
+
+    def set_epsilon(self, epsilon_ms: float) -> None:
+        self.cluster.truetime.epsilon = epsilon_ms
+        for shard in self.nodes.values():
+            shard.truetime.epsilon = epsilon_ms
+
+    async def run(self, driver, nemesis) -> None:
+        driver.start()
+        self.cluster.env.run()
+
+    async def stop(self) -> None:
+        pass
+
+
+def _as_event(env, coroutine):
+    """Bridge asyncio -> env: start ``coroutine`` on the running loop and
+    return an env event that fires with its outcome, so an env process (the
+    nemesis) can ``yield`` a live process's async ``start()``/``stop()``."""
+    event = env.event()
+
+    def settle(task):
+        if task.exception() is None:
+            event.succeed(task.result())
+        else:
+            event.fail(task.exception())
+
+    asyncio.ensure_future(coroutine).add_done_callback(settle)
+    return event
+
+
+class _LiveBackend:
+    """One :class:`~repro.net.cluster.LiveProcess` per server node over real
+    asyncio TCP and a client store (a fleet store for several groups).  A
+    crash stops the node's process; a restart boots a fresh one on its WAL."""
+
+    def __init__(self, scenario: Scenario, wal_dir: str,
+                 controller: FaultController):
+        protocol, params = scenario.protocol, {"seed": scenario.seed}
+        self.fleet = self._node_configs = self.store = self.migrations = None
+        if scenario.num_groups > 1:
+            self.fleet = FleetSpec.build(
+                protocol=protocol, num_groups=scenario.num_groups,
+                nodes_per_group=scenario.num_servers, base_port=0,
+                placement_seed=scenario.seed, params=params)
+            self.spec = self.fleet.merged_spec()
+            self._node_configs = self.fleet.node_configs()
+        else:
+            build = (ClusterSpec.gryff if protocol in GRYFF_PROTOCOLS
+                     else ClusterSpec.spanner)
+            self.spec = build(scenario.num_servers, variant=protocol,
+                              params=params)
+        for node in self.spec.nodes.values():
+            node.port = 0   # ephemeral; propagated into the shared spec
+        self.leases = ({name: LeaderLease(scenario.lease_ms)
+                        for name in self.spec.server_names()}
+                       if protocol in SPANNER_PROTOCOLS else {})
+        self.sites = self.spec.sites()
+        self.procs: Dict[str, LiveProcess] = {}
+        self._wal_dir, self._controller = wal_dir, controller
+
+    def _boot(self, name: str):
+        """Install a fresh process for ``name`` (it recovers from the node's
+        WAL); returns the coroutine that binds its listener."""
+        proc = self.procs[name] = LiveProcess(
+            self.spec, host_nodes=[name], wal_dir=self._wal_dir,
+            leases=self.leases, faults=self._controller,
+            node_configs=self._node_configs)
+        return proc.start()
+
+    async def open(self, history: History):
+        for name in self.spec.server_names():
+            await self._boot(name)
+        self.store = open_store(self.fleet or self.spec, history=history,
+                                recorder=LatencyRecorder())
+        self.store.process.transport.faults = self._controller
+        if self.fleet is not None:
+            self.migrations = _MigrationUnit(self.store, self._wal_dir)
+        return self.store
+
+    @property
+    def nodes(self) -> Dict[str, Any]:
+        return {name: proc.nodes[name] for name, proc in self.procs.items()}
+
+    def instrument(self, metrics) -> None:
+        for name in list(self.procs):
+            obs.instrument_process(
+                metrics, partial(self.procs.__getitem__, name), label=name)
+        obs.instrument_transport(metrics, self.store.process.transport,
+                                 node="clients")
+
+    def crash(self, name: str):
+        self.procs[name].close_wals()
+        yield _as_event(self.store.env, self.procs[name].stop())
+
+    def restart(self, name: str):
+        yield _as_event(self.store.env, self._boot(name))
+
+    def set_skew(self, name: str, offset_ms: float) -> None:
+        self.procs[name].truetime.offset_ms = offset_ms
+
+    def set_epsilon(self, epsilon_ms: float) -> None:
+        clocks = [proc.truetime for proc in self.procs.values()]
+        for truetime in clocks + [self.store._truetime]:
+            truetime.epsilon = epsilon_ms
+
+    async def run(self, driver, nemesis) -> None:
+        await self.store.start()
+        # drive() awaits whatever start() returns, racing the event pump;
+        # the nemesis may outlast the load (a late restart, a migration
+        # still purging), so it waits on it along with the client loops.
+        await self.store.drive(SimpleNamespace(
+            start=lambda: driver.start() + [nemesis]))
+
+    async def stop(self) -> None:
+        if self.store is not None:
+            await self.store.stop()
+        for proc in self.procs.values():
             await proc.stop()
+
+
+# --------------------------------------------------------------------------- #
+# The nemesis: one env process, one action table, both backends
+# --------------------------------------------------------------------------- #
+def _nemesis(env, scenario: Scenario, deployment,
+             controller: FaultController, session_names: List[str],
+             report: ChaosReport):
+    """Step the scenario's timeline on the run's own clock (simulated or
+    wall), then wait out any migration still in flight."""
+    migrations = deployment.migrations
+    snapshots: Dict[str, Dict[str, Any]] = {}
+
+    def crash(event):
+        snapshots[event.target] = _node_snapshot(
+            deployment.nodes[event.target])
+        controller.isolate(event.target)
+        yield from deployment.crash(event.target)
+
+    def restart(event):
+        yield from deployment.restart(event.target)
+        controller.restore(event.target)
+        report.recoveries.append(_compare_recovery(
+            event.target, snapshots.pop(event.target, {}),
+            deployment.nodes[event.target]))
+
+    # An action returns a generator of the env events it has to wait on
+    # (a live process stopping or starting), or None.
+    actions = {
+        "crash": crash,
+        "restart": restart,
+        "partition": lambda e: controller.partition(
+            *_resolve_groups(e.args["groups"], session_names)),
+        "heal": lambda e: controller.heal(),
+        "drop": lambda e: controller.drop_matching(**e.args),
+        "delay": lambda e: controller.delay_matching(
+            **{"extra_ms": 20.0, **e.args}),
+        "clear_rules": lambda e: controller.clear_rules(),
+        "skew": lambda e: deployment.set_skew(
+            e.target, e.args.get("offset_ms", 0.0)),
+        "epsilon": lambda e: deployment.set_epsilon(e.args["epsilon_ms"]),
+        "migrate": lambda e: migrations.migrate(e),
+        "recover_controller": lambda e: report.recoveries.append(
+            migrations.recovery(unfinished=True)),
+    }
+    start = env.now
+    for event in scenario.sorted_events():
+        wait = start + event.at_ms - env.now
+        if wait > 0:
+            yield env.timeout(wait)
+        yield from actions[event.action](event) or ()
+    if migrations is not None and migrations.procs:
+        for proc in migrations.procs:
+            yield proc
+        report.recoveries.append(migrations.recovery(unfinished=False))
+
+
+# --------------------------------------------------------------------------- #
+# The runner
+# --------------------------------------------------------------------------- #
+async def _run(scenario: Scenario, backend: str, trace_dir: str,
+               metrics: Optional[Any]) -> ChaosReport:
+    level = negotiate(scenario.protocol, scenario.level)
+    report = ChaosReport(
+        scenario=scenario.name, backend=backend, protocol=scenario.protocol,
+        model=level.checker_model, expect_clean=scenario.expect_clean,
+        trace_path=os.path.join(trace_dir, "trace.jsonl"))
+    wal_dir = _reset_durable_state(trace_dir)
+    controller = FaultController(seed=scenario.seed)
+    deployment = {"sim": _SimBackend, "live": _LiveBackend}[backend](
+        scenario, wal_dir, controller)
+    writer = TraceWriter(report.trace_path, meta={
+        "protocol": scenario.protocol, "level": level.value,
+        "scenario": scenario.name, "backend": backend,
+        "model": report.model}, fsync=False)
+    history = RecordingHistory(writer)
+    abandoned = [0]
+    try:
+        store = await deployment.open(history)
+        sessions = build_sessions(store, deployment.sites,
+                                  scenario.num_clients, "chaos",
+                                  scenario.level)
+        pairs, executor = build_pairs_and_executor(
+            store, sessions, "ycsb", scenario.write_ratio,
+            scenario.conflict_rate, 0, scenario.seed)
+        driver = ClosedLoopDriver(
+            store.env, pairs,
+            executor=_timeout_executor(store.env, executor,
+                                       scenario.op_timeout_ms, abandoned),
+            duration_ms=scenario.duration_ms,
+            think_time_ms=scenario.think_time_ms)
+        if metrics is not None:
+            obs.instrument_fault_controller(metrics, controller)
+            # Getters read through the backend's node / process table, so
+            # whatever a restart installs is followed at the next scrape.
+            deployment.instrument(metrics)
+        run_start = store.env.now
+        nemesis = store.env.process(_nemesis(
+            store.env, scenario, deployment, controller,
+            [session.name for session in sessions], report))
+        await deployment.run(driver, nemesis)
+    finally:
+        await deployment.stop()
         writer.close()
 
     report.abandoned = abandoned[0]
     report.fault_counters = controller.counters()
-    if leases:
-        report.lease_transitions = {
-            name: list(lease.transitions) for name, lease in leases.items()
-            if lease.transitions}
-    nodes = [proc.nodes[name] for name, proc in procs.items()
-             if name in proc.nodes]
+    report.lease_transitions = {
+        name: list(lease.transitions)
+        for name, lease in deployment.leases.items() if lease.transitions}
+    windows = scenario.fault_windows()
     augmented = _augmented_history(
-        protocol, history, nodes,
-        invoked_at=run_start + _first_window_start(scenario))
+        scenario.protocol, history, deployment.nodes.values(),
+        invoked_at=run_start + (windows[0][0] if windows else 0.0))
     report.reconstructed = len(augmented) - len(history)
     _check_and_judge(report, scenario, augmented, run_start=run_start)
     return report
 
 
-# --------------------------------------------------------------------------- #
-# Entry point
-# --------------------------------------------------------------------------- #
 def run_scenario(scenario: Scenario, backend: str = "sim",
                  trace_dir: Optional[str] = None,
                  metrics: Optional[Any] = None) -> ChaosReport:
     """Run ``scenario`` on ``backend`` (``"sim"`` or ``"live"``).
 
-    ``trace_dir`` holds the JSONL trace and the per-node WALs (a fresh
-    temporary directory when ``None``).  ``metrics`` — a
+    ``trace_dir`` receives the JSONL trace and, under ``wal/``, the per-node
+    WALs and the migration journal (a fresh temporary directory when
+    ``None``); whatever an earlier run left of those is removed first, so
+    every run starts from empty durable state.  ``metrics`` — a
     :class:`~repro.obs.MetricsRegistry` — instruments the fault controller
     and every node for the run (``None`` attaches nothing and leaves every
     code path byte-identical).  Returns a :class:`ChaosReport`;
     ``report.ok`` is the scenario's verdict.
     """
-    if scenario.protocol in GRYFF_PROTOCOLS and any(
-            e.action in ("skew", "epsilon") for e in scenario.events):
+    actions = {event.action for event in scenario.events}
+    if scenario.protocol in GRYFF_PROTOCOLS and actions & {"skew", "epsilon"}:
         raise ValueError("skew/epsilon faults need a TrueTime backend "
                          "(Spanner protocols)")
+    if actions & {"migrate", "recover_controller"} and scenario.num_groups < 2:
+        raise ValueError("migrate/recover_controller need a fleet "
+                         "(num_groups > 1)")
+    if backend not in scenario.backends:
+        raise ValueError(
+            f"scenario {scenario.name!r} cannot run on backend {backend!r} "
+            f"(it runs on: {', '.join(scenario.backends)})")
     if trace_dir is None:
         trace_dir = tempfile.mkdtemp(prefix="repro-chaos-")
-    if backend == "sim":
-        return _run_sim(scenario, trace_dir, metrics=metrics)
-    if backend == "live":
-        return asyncio.run(_run_live_async(scenario, trace_dir,
-                                           metrics=metrics))
-    raise ValueError(f"unknown backend {backend!r} (sim or live)")
+    return asyncio.run(_run(scenario, backend, trace_dir, metrics))

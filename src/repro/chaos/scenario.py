@@ -2,9 +2,10 @@
 
 A :class:`Scenario` is a timeline of :class:`FaultEvent`\\ s injected into a
 cluster while a YCSB load runs against it: crash and restart nodes, cut and
-heal partitions, drop/delay/reorder messages, skew clocks, and change the
-TrueTime uncertainty bound.  The same scenario object drives both backends —
-the simulated clusters and the live asyncio TCP runtime — through
+heal partitions, drop/delay/reorder messages, skew clocks, change the
+TrueTime uncertainty bound, run/kill/recover a fleet's migration controller.
+The same scenario object drives both backends — the simulated clusters and
+the live asyncio TCP runtime — through
 :func:`repro.chaos.engine.run_scenario`.
 
 The oracle needs to know *when* misbehavior was allowed:
@@ -37,8 +38,31 @@ __all__ = ["FaultEvent", "Scenario", "ACTIONS"]
 #:                 (0 restores; Spanner backends only)
 #: ``epsilon``     set the TrueTime uncertainty to ``args["epsilon_ms"]``
 #:                 (``args["restore"]: True`` marks the sweep's end)
+#: ``migrate``     start the online migration ``args["plan"]`` (a
+#:                 :class:`~repro.fleet.migration.MigrationPlan` string
+#:                 minus its ``at_ms``, e.g. ``split:0.5:g1``) under the
+#:                 load; ``args["crash_phase"]`` kills the controller on
+#:                 reaching that phase (fleets only)
+#: ``recover_controller``  replay the migration journal of a crashed
+#:                 controller; it must give back the placement the clients
+#:                 still route by (fleets only)
 ACTIONS = ("crash", "restart", "partition", "heal", "drop", "delay",
-           "clear_rules", "skew", "epsilon")
+           "clear_rules", "skew", "epsilon", "migrate", "recover_controller")
+
+
+#: Fault action -> (window kind, one window per target node?, opens it?) for
+#: :meth:`Scenario.fault_windows`; ``skew``/``epsilon`` decide by their args.
+_WINDOWS = {
+    "crash": ("crash", True, True),
+    "restart": ("crash", True, False),
+    "partition": ("partition", False, True),
+    "heal": ("partition", False, False),
+    "drop": ("rules", False, True),
+    "delay": ("rules", False, True),
+    "clear_rules": ("rules", False, False),
+    "skew": ("skew", True, lambda args: bool(args.get("offset_ms", 0.0))),
+    "epsilon": ("epsilon", False, lambda args: not args.get("restore")),
+}
 
 
 @dataclass(frozen=True)
@@ -69,6 +93,9 @@ class Scenario:
     #: Load duration (scenario-relative ms); the run ends when every client
     #: loop passes its deadline and in-flight operations resolve or time out.
     duration_ms: float = 2_400.0
+    #: Shard groups of ``num_servers`` nodes each.  More than one group is a
+    #: fleet behind placement routing (nodes are named ``g0/replica1``).
+    num_groups: int = 1
     num_servers: int = 3
     num_clients: int = 4
     write_ratio: float = 0.5
@@ -97,6 +124,11 @@ class Scenario:
     lease_ms: float = 400.0
 
     # ------------------------------------------------------------------ #
+    @property
+    def backends(self) -> Tuple[str, ...]:
+        """Who can run this: fleet routing and migration are live-only."""
+        return ("sim", "live") if self.num_groups == 1 else ("live",)
+
     def sorted_events(self) -> List[FaultEvent]:
         return sorted(self.events, key=lambda e: e.at_ms)
 
@@ -117,43 +149,23 @@ class Scenario:
         ``skew``/``skew(offset 0)`` per node, ``epsilon``/
         ``epsilon(restore)`` — and every closed window is extended by
         ``window_slack_ms`` of recovery time.  An unclosed fault stays open
-        through the end of the run.
+        through the end of the run.  A migration — even one whose controller
+        is killed — opens no window: it must be invisible to clients.
         """
         open_at: Dict[Tuple[str, Optional[str]], float] = {}
         windows: List[Tuple[float, float]] = []
-
-        def open_window(key, at):
-            open_at.setdefault(key, at)
-
-        def close_window(key, at):
-            start = open_at.pop(key, None)
-            if start is not None:
-                windows.append((start, at + self.window_slack_ms))
-
         for event in self.sorted_events():
-            action, at = event.action, event.at_ms
-            if action == "crash":
-                open_window(("crash", event.target), at)
-            elif action == "restart":
-                close_window(("crash", event.target), at)
-            elif action == "partition":
-                open_window(("partition", None), at)
-            elif action == "heal":
-                close_window(("partition", None), at)
-            elif action in ("drop", "delay"):
-                open_window(("rules", None), at)
-            elif action == "clear_rules":
-                close_window(("rules", None), at)
-            elif action == "skew":
-                if event.args.get("offset_ms", 0.0):
-                    open_window(("skew", event.target), at)
-                else:
-                    close_window(("skew", event.target), at)
-            elif action == "epsilon":
-                if event.args.get("restore"):
-                    close_window(("epsilon", None), at)
-                else:
-                    open_window(("epsilon", None), at)
+            if event.action not in _WINDOWS:
+                continue
+            kind, per_node, opens = _WINDOWS[event.action]
+            if callable(opens):
+                opens = opens(event.args)
+            key = (kind, event.target if per_node else None)
+            if opens:
+                open_at.setdefault(key, event.at_ms)
+            elif key in open_at:
+                windows.append((open_at.pop(key),
+                                event.at_ms + self.window_slack_ms))
         end = self.duration_ms + self.op_timeout_ms + self.window_slack_ms
         for start in open_at.values():
             windows.append((start, end))

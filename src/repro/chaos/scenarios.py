@@ -1,11 +1,11 @@
 """The named scenario catalog (``python -m repro chaos --list``).
 
-Each scenario runs unchanged on both backends (``--backend sim|live|both``)
-and is expected to come back :attr:`~repro.chaos.engine.ChaosReport.ok`:
-either its faults are within spec (``expect_clean``) and the checker stays
-fully satisfied, or any violation the faults provoke falls inside the
-scenario's fault windows and every crashed node recovers its exact pre-crash
-durable state.
+Each scenario runs unchanged on every backend it supports (``--backend
+sim|live|both``; a multi-group fleet scenario is live-only) and is expected
+to come back :attr:`~repro.chaos.engine.ChaosReport.ok`: either its faults
+are within spec (``expect_clean``) and the checker stays fully satisfied, or
+any violation the faults provoke falls inside the scenario's fault windows —
+and every crashed unit recovers its exact pre-crash durable state.
 """
 
 from __future__ import annotations
@@ -126,6 +126,21 @@ def _catalog() -> List[Scenario]:
                 FaultEvent(1100, "partition", args={"groups": [
                     ["shard0", "@clients"], ["shard1"]]}),
                 FaultEvent(1500, "heal"),
+            ],
+        ),
+        Scenario(
+            name="reshard-crash",
+            protocol="gryff-rsc",
+            description="kill -9 the migration controller mid-copy, recover "
+                        "the placement from its journal, finish the reshard",
+            num_groups=2,
+            duration_ms=1400,
+            expect_clean=True,
+            events=[
+                FaultEvent(300, "migrate", args={"plan": "move:0-0.5:g1",
+                                                 "crash_phase": "mid_copy"}),
+                FaultEvent(600, "recover_controller"),
+                FaultEvent(800, "migrate", args={"plan": "move:0-0.5:g1"}),
             ],
         ),
     ]

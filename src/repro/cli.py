@@ -288,30 +288,25 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         rows = [[s.name, s.protocol,
                  "clean" if s.expect_clean else "windowed", s.description]
                 for s in all_scenarios().values()]
-        rows.append(["reshard-crash", "gryff-rsc", "clean",
-                     "kill -9 the migration controller mid-copy, recover "
-                     "the placement from its journal, finish the reshard"])
         print(format_table(["scenario", "protocol", "oracle", "description"],
                            rows, title="Chaos scenarios"))
         return 0
     if not args.scenario:
         print("--scenario NAME is required (or --list)", file=sys.stderr)
         return 2
-    if args.scenario == "reshard-crash":
-        # The reshard scenario reconfigures a *fleet* mid-load; it has its
-        # own runner (live only — the placement is client-process state).
-        from repro.chaos.reshard import run_reshard_crash
-
-        report = run_reshard_crash(trace_dir=args.trace_dir)
-        print(report.describe())
-        _write_json(args.json, [report.to_dict()])
-        return 0 if report.ok else 1
     try:
         scenario = get_scenario(args.scenario)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    backends = ["sim", "live"] if args.backend == "both" else [args.backend]
+    backends = (list(scenario.backends) if args.backend == "both"
+                else [args.backend or scenario.backends[0]])
+    if backends[0] not in scenario.backends:
+        print(f"scenario {scenario.name!r} cannot run on the {backends[0]} "
+              f"backend: its {scenario.num_groups} shard groups need fleet "
+              f"routing, which only the live backend has (--backend live)",
+              file=sys.stderr)
+        return 2
     reports = []
     for backend in backends:
         # Each backend gets its own subdirectory so `--backend both` does
@@ -373,7 +368,6 @@ def cmd_load(args: argparse.Namespace) -> int:
             metrics_port=args.metrics_port,
             codec=args.codec,
             rate=args.rate,
-            open_loop=args.open_loop,
             arrival=args.arrival,
             migrations=migrations,
             migration_journal=args.migration_journal,
@@ -676,10 +670,11 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="fault-injection scenarios with checker-verified "
                       "guarantees (crash/partition/skew + WAL recovery)")
     chaos.add_argument("--scenario", help="scenario name (see --list)")
-    chaos.add_argument("--backend", default="sim",
-                       choices=["sim", "live", "both"],
+    chaos.add_argument("--backend", choices=["sim", "live", "both"],
                        help="simulated cluster, live asyncio TCP cluster, "
-                            "or both in sequence")
+                            "or every backend the scenario supports in "
+                            "sequence (default: its first — sim, unless "
+                            "the scenario is live-only)")
     chaos.add_argument("--list", action="store_true",
                        help="list the scenario catalog and exit")
     chaos.add_argument("--trace-dir",
@@ -761,9 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "and latency is measured from each arrival's "
                            "intended send time (coordinated-omission-"
                            "correct); --clients sizes the session pool")
-    load.add_argument("--open-loop", action="store_true",
-                      help="require the open-loop driver (implied by "
-                           "--rate; errors out if --rate is missing)")
     load.add_argument("--arrival", default="poisson",
                       choices=["poisson", "fixed"],
                       help="open-loop arrival schedule: seeded Poisson "

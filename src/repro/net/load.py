@@ -29,7 +29,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api import make_retwis_executor, open_store, ycsb_executor
 from repro.api.levels import negotiate
-from repro.api.store import LiveStore
 from repro.net.recorder import RecordingHistory, TraceWriter
 from repro.core.history import History
 from repro.sim.stats import LatencyRecorder
@@ -39,9 +38,10 @@ from repro.workloads.ycsb import YcsbWorkload
 __all__ = ["run_load", "load_main"]
 
 
-def _build_sessions(store: LiveStore, num_clients: int, client_prefix: str,
-                    level: Optional[str]) -> List[Any]:
-    sites = store.spec.sites()
+def build_sessions(store, sites: List[str], num_clients: int,
+                   client_prefix: str, level: Optional[str]) -> List[Any]:
+    """``num_clients`` sessions round-robin over ``sites`` (any store —
+    the chaos engine opens its simulated and live sessions here too)."""
     return [
         store.session(
             site=sites[index % len(sites)],
@@ -52,10 +52,12 @@ def _build_sessions(store: LiveStore, num_clients: int, client_prefix: str,
     ]
 
 
-def _build_pairs_and_executor(store: LiveStore, sessions: List[Any],
-                              workload: str, write_ratio: float,
-                              conflict_rate: float, num_keys: int,
-                              seed: int) -> Tuple[List[Tuple[Any, Any]], Any]:
+def build_pairs_and_executor(store, sessions: List[Any], workload: str,
+                             write_ratio: float, conflict_rate: float,
+                             num_keys: int, seed: int
+                             ) -> Tuple[List[Tuple[Any, Any]], Any]:
+    """One seeded workload generator per session, and the executor that
+    runs its items."""
     if workload == "ycsb":
         pairs = [
             (session, YcsbWorkload(client_id=session.name,
@@ -108,12 +110,10 @@ async def run_load(spec, *,
                    admission: Optional[Any] = None,
                    codec: str = "binary",
                    rate: Optional[float] = None,
-                   open_loop: bool = False,
                    arrival: str = "poisson",
                    drain_timeout_ms: float = 10_000.0,
                    migrations: Optional[List[Any]] = None,
-                   migration_journal: Optional[str] = None,
-                   migration_crash_phase: Optional[str] = None) -> Dict[str, Any]:
+                   migration_journal: Optional[str] = None) -> Dict[str, Any]:
     """Drive a running cluster; returns a summary dict (and writes a trace).
 
     The returned summary carries per-category percentiles, throughput, and
@@ -150,14 +150,11 @@ async def run_load(spec, *,
     list of :class:`~repro.fleet.migration.MigrationPlan` — runs an online
     key-range migration controller *under* the load (journaled to
     ``migration_journal``); the controller's report lands in
-    ``summary["migration"]``.  ``migration_crash_phase`` is the chaos hook:
-    the controller kills itself at that phase, the load keeps running, and
-    the summary reports ``migration["crashed"]``.
+    ``summary["migration"]`` (``migration["crashed"]`` when it died with
+    :class:`~repro.fleet.migration.ControllerCrashed`; the load keeps
+    running against the durable placement).
     """
-    if open_loop and rate is None:
-        raise ValueError("open_loop requires a rate (ops/s)")
     if rate is not None:
-        open_loop = True
         if ops_per_client is not None:
             raise ValueError("ops_per_client does not apply to an open-loop "
                              "run (the arrival schedule bounds the work)")
@@ -201,9 +198,8 @@ async def run_load(spec, *,
     if migrations:
         from repro.fleet.migration import MigrationController
 
-        controller = MigrationController(
-            spec, store, journal_path=migration_journal,
-            crash_phase=migration_crash_phase)
+        controller = MigrationController(spec, store,
+                                         journal_path=migration_journal)
     check = None
     if check_inline:
         from repro.net.check import TraceCheck
@@ -231,11 +227,12 @@ async def run_load(spec, *,
     recorder = store.recorder
     response_recorder: Optional[LatencyRecorder] = None
     try:
-        sessions = _build_sessions(store, num_clients, client_prefix, level)
-        pairs, executor = _build_pairs_and_executor(
+        sessions = build_sessions(store, store.spec.sites(), num_clients,
+                                  client_prefix, level)
+        pairs, executor = build_pairs_and_executor(
             store, sessions, workload, write_ratio, conflict_rate, num_keys,
             seed)
-        if open_loop:
+        if rate is not None:
             response_recorder = LatencyRecorder()
             driver = OpenLoopDriver(
                 store.env, pairs, executor,

@@ -93,7 +93,12 @@ class TestCatalog:
         for scenario in all_scenarios().values():
             assert scenario.protocol in ("gryff-rsc", "spanner-rss")
             assert scenario.events, scenario.name
-            assert scenario.fault_windows(), scenario.name
+            # A migration opens no fault window (it must be invisible to
+            # clients); every other scenario licenses some misbehavior.
+            migrates = any(e.action == "migrate" for e in scenario.events)
+            assert bool(scenario.fault_windows()) != migrates, scenario.name
+            assert scenario.backends == (
+                ("live",) if scenario.num_groups > 1 else ("sim", "live"))
             crashed = set(scenario.crashed_nodes())
             restarted = {e.target for e in scenario.events
                          if e.action == "restart"}
@@ -154,6 +159,19 @@ class TestRunScenarioSim:
         assert report.ok, report.describe()
         assert report.satisfied and report.violations == []
 
+    def test_every_run_starts_from_empty_durable_state(self, tmp_path):
+        """A second run into the same directory must not recover the first
+        run's WALs (it used to: ops=83 then ops=71 with a violation), and
+        resetting touches only what the engine itself writes there."""
+        (tmp_path / "notes.txt").write_text("mine")
+        scenario = get_scenario("clock-skew-sweep")
+        first = run_scenario(scenario, backend="sim",
+                             trace_dir=str(tmp_path)).to_dict()
+        second = run_scenario(scenario, backend="sim",
+                              trace_dir=str(tmp_path)).to_dict()
+        assert first["ok"] and first == second
+        assert (tmp_path / "notes.txt").read_text() == "mine"
+
     def test_report_roundtrips_to_json(self, tmp_path):
         report = run_scenario(get_scenario("truetime-epsilon-sweep"),
                               backend="sim", trace_dir=str(tmp_path))
@@ -203,3 +221,24 @@ class TestChaosCli:
             reports = json.load(handle)
         assert reports[0]["scenario"] == "replica-crash-restart"
         assert reports[0]["ok"] is True
+
+    @pytest.mark.parametrize("argv, code, says", [
+        # A fleet scenario is live-only: asking for the sim says so...
+        (["chaos", "--scenario", "reshard-crash", "--backend", "sim"],
+         2, "only the live backend"),
+        # ...`both` means the backends the scenario supports...
+        (["chaos", "--scenario", "reshard-crash", "--backend", "both"],
+         0, "scenario reshard-crash [live] protocol=gryff-rsc model=rsc: OK"),
+        # ...and the monitor resolves the name like any other catalog entry.
+        (["monitor", "{trace}", "--idle-timeout", "0",
+          "--scenario", "reshard-crash"], 0, "CLEAN"),
+    ])
+    def test_fleet_scenario_comes_from_the_catalog(self, argv, code, says,
+                                                   tmp_path, capsys):
+        clean = run_scenario(get_scenario("gryff-smoke"),
+                             backend="sim", trace_dir=str(tmp_path))
+        argv = [arg.format(trace=clean.trace_path) for arg in argv]
+        assert cli_main(argv) == code
+        captured = capsys.readouterr()
+        assert says in captured.out + captured.err
+        assert "[sim]" not in captured.out

@@ -57,7 +57,7 @@ class TestMigrationUnderLoad:
         async def body():
             return await run_load(
                 fleet, num_clients=4, duration_ms=2200.0, seed=7,
-                rate=400.0, open_loop=True,
+                rate=400.0,
                 trace_path=str(tmp_path / "fleet3.jsonl"),
                 check_inline=True, check_min_epoch_ops=16,
                 migrations=plans,

@@ -7,12 +7,10 @@ kill -9 of the migration controller at *any* journal prefix recovers, via
 every key has exactly one owner — the pre-flip placement before the
 ``flipped`` record is durable, the post-flip placement after.  The
 hypothesis test replays every prefix of synthetic journals written in the
-controller's exact record format; the live test crashes a real controller
-mid-copy under load and recovers its journal.
+controller's exact record format; the live test is the ``reshard-crash``
+chaos scenario: a real controller crashed mid-copy under load, recovered
+from its journal, and re-run to the flip.
 """
-
-import asyncio
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -182,40 +180,47 @@ class TestRecoverPlacement:
 # Live crash/recover (real controller, real journal, load running)
 # --------------------------------------------------------------------------- #
 class TestLiveCrashRecovery:
-    def test_mid_copy_crash_recovers_preflip_and_load_survives(
+    def test_reshard_crash_scenario_recovers_and_finishes_the_reshard(
             self, tmp_path):
-        from repro.fleet.spec import FleetSpec
-        from repro.net.cluster import LiveProcess
-        from repro.net.load import run_load
+        """Fleet x chaos, end to end on the live backend: the controller
+        dies mid-copy under load, its journal recovers the pre-flip
+        placement, a fresh controller re-runs the plan to the flip, and one
+        history across crash, recovery and flip satisfies the checker."""
+        from repro.chaos import get_scenario, run_scenario
 
-        journal = str(tmp_path / "crash.journal")
+        report = run_scenario(get_scenario("reshard-crash"), backend="live",
+                              trace_dir=str(tmp_path))
+        assert report.ok, report.describe()
+        assert report.ops > 0
+        # expect_clean: a migration excuses nothing, crashed or not.
+        assert report.fault_windows == []
+        assert report.satisfied and report.violations == []
 
-        async def scenario():
-            fleet = FleetSpec.build(protocol="gryff-rsc", num_groups=2,
-                                    base_port=0, placement_seed=3)
-            initial = fleet.placement.copy()
-            server = LiveProcess(fleet.merged_spec(),
-                                 node_configs=fleet.node_configs())
-            await server.start()
-            try:
-                summary = await run_load(
-                    fleet, num_clients=2, duration_ms=900.0, seed=21,
-                    check_inline=True, check_min_epoch_ops=16,
-                    migrations=[MigrationPlan.parse("300:split:0.5:g1")],
-                    migration_journal=journal,
-                    migration_crash_phase="mid_copy")
-            finally:
-                await server.stop()
-            return summary, initial
+        recovered, final = report.recoveries
+        assert recovered.node == final.node == "migration-controller"
+        # recover_controller: the journal gave back the untouched pre-flip
+        # placement the clients still route by, flagged unfinished...
+        assert recovered.matches and "mig1 unfinished" in recovered.detail
+        # ...and at the end of the run it agrees with the live placement
+        # again, with nothing left unfinished.
+        assert final.matches and "nothing unfinished" in final.detail
 
-        summary, initial = asyncio.run(scenario())
-        assert summary["ops"] > 0
-        assert summary["migration"]["crashed"] is True
-        assert summary["check"]["satisfied"] is True
-        # The controller died with the copy half done: the journal must
-        # recover the untouched pre-flip placement, flagged unfinished.
-        placement, unfinished = recover_placement(journal, initial)
-        assert unfinished == "mig1"
-        assert placement.version == initial.version
-        assert placement.to_dict() == initial.to_dict()
-        assert os.path.exists(journal)
+        wal = WriteAheadLog(
+            str(tmp_path / "wal" / "migration-controller.wal"))
+        try:
+            records = wal.recover().records
+        finally:
+            wal.close()
+        # The first controller died with the copy half done (no `copied`
+        # record); the second ran the same plan to completion.
+        assert [record["kind"] for record in records] == [
+            "begin", "mirror_on",
+            "begin", "mirror_on", "copied", "fenced", "flipped", "purged",
+            "done"]
+        crashed_begin, rerun_begin, flipped = (records[0], records[2],
+                                               records[6])
+        assert rerun_begin["placement"] == crashed_begin["placement"]
+        assert records[4]["keys"] > 0
+        # The flip advanced the placement epoch.
+        assert (flipped["placement"]["version"]
+                == crashed_begin["placement"]["version"] + 1)
